@@ -14,10 +14,6 @@ import sys
 
 from . import semantics, verify
 from .errors import EngineError
-
-
-class UsageError(Exception):
-    """Malformed command arguments; exits with code 2."""
 from .incidence import incidence_matrix, matrix_csv
 from .polynomials import (
     catalan_general,
@@ -29,6 +25,11 @@ from .polynomials import (
 from .semantics import ClosureConfig, IdentitySpec, classify_identity, close
 from .tableaux import CatalogCache, Universe
 from .terms import ballot_row, catalan, parse_word, term_to_nested
+
+
+class UsageError(Exception):
+    """Malformed command arguments; exits with code 2."""
+
 
 MAX_ORDER_CAP = 9
 
@@ -119,27 +120,41 @@ def cmd_incidence(args) -> int:
 
 
 def read_spec_file(path: str) -> IdentitySpec:
-    """Spec file: a line "order n", then one "i j" line per identity pair."""
+    """Spec file: a line "order n", then one "i j" line per identity pair.
+
+    A file that cannot be read is a domain error.  A malformed file is a
+    usage error, and the message names the file and the line.
+    """
+    try:
+        with open(path) as handle:
+            lines = handle.read().splitlines()
+    except OSError as error:
+        raise EngineError(f"{path}: cannot read spec file: {error.strerror}") from None
     order = None
     pairs = []
-    with open(path) as handle:
-        for raw in handle:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if order is None:
-                head, _, value = line.partition(" ")
-                if head != "order":
-                    raise EngineError(f"{path}: expected 'order n' first, got {line!r}")
-                order = int(value)
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise EngineError(f"{path}: expected 'i j', got {line!r}")
-            pairs.append((int(parts[0]), int(parts[1])))
+    for number, raw in enumerate(lines, 1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = line.split()
+        if order is None:
+            if len(fields) != 2 or fields[0] != "order":
+                raise UsageError(f"{path}:{number}: expected 'order n' first, got {line!r}")
+            order = _spec_int(fields[1], path, number)
+            continue
+        if len(fields) != 2:
+            raise UsageError(f"{path}:{number}: expected 'i j', got {line!r}")
+        pairs.append((_spec_int(fields[0], path, number), _spec_int(fields[1], path, number)))
     if order is None or not pairs:
-        raise EngineError(f"{path}: needs an order line and at least one pair")
+        raise UsageError(f"{path}: needs an order line and at least one pair")
     return IdentitySpec.of(order, *pairs)
+
+
+def _spec_int(value: str, path: str, number: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise UsageError(f"{path}:{number}: expected an integer, got {value!r}") from None
 
 
 def cmd_closure(args) -> int:
@@ -226,22 +241,30 @@ def _int_param(value: str, usage: str) -> int:
         raise UsageError(usage) from None
 
 
+def _count_param(value: str, usage: str) -> int:
+    """A nonnegative integer parameter, such as the top index of a sequence."""
+    number = _int_param(value, usage)
+    if number < 0:
+        raise UsageError(usage)
+    return number
+
+
 def cmd_catalan(args) -> int:
     variant = args.variant
     params = args.params
     if variant == "classic":
-        top = _int_param(params[0], "usage: catalan classic N") if params else 10
+        top = _count_param(params[0], "usage: catalan classic N") if params else 10
         values = [catalan(n) for n in range(top + 1)]
         payload = {"variant": "classic", "values": values}
     elif variant == "ballot":
-        top = _int_param(params[0], "usage: catalan ballot N") if params else 10
+        top = _count_param(params[0], "usage: catalan ballot N") if params else 10
         values = [list(ballot_row(n)) for n in range(1, top + 1)]
         payload = {"variant": "ballot", "rows": values}
     elif variant == "general":
         if len(params) != 2:
             raise UsageError("usage: catalan general A N")
         arity = _int_param(params[0], "usage: catalan general A N")
-        top = _int_param(params[1], "usage: catalan general A N")
+        top = _count_param(params[1], "usage: catalan general A N")
         values = [catalan_general(arity, n) for n in range(top + 1)]
         payload = {"variant": "general", "arity": arity, "values": values}
     elif variant == "mixed":
@@ -249,7 +272,7 @@ def cmd_catalan(args) -> int:
             raise UsageError("usage: catalan mixed A1,A2,... D")
         usage = "usage: catalan mixed A1,A2,... D"
         arities = [_int_param(v, usage) for v in params[0].split(",")]
-        degree = _int_param(params[1], usage)
+        degree = _count_param(params[1], usage)
         values = list(series_mixed(arities, degree).coeffs)
         payload = {"variant": "mixed", "arities": arities, "values": values}
     elif variant == "convolution":

@@ -197,18 +197,22 @@ class PowerSeries:
         return self.coeffs[n]
 
 
+def _check_arities(arities) -> None:
+    if not arities:
+        raise BadArity("need at least one arity")
+    for a in arities:
+        if not isinstance(a, int) or a < 2:
+            raise BadArity(f"arity {a!r} is not an integer >= 2")
+
+
 def series_mixed(arities, degree: int) -> PowerSeries:
     """Counting series for trees whose nodes draw arities from a multiset.
 
     Solves phi = 1 + t * sum(phi^a for a in arities) by fixpoint
     iteration, which settles one further coefficient per round.
     """
+    _check_arities(arities)
     arity_list = sorted(arities)
-    if not arity_list:
-        raise BadArity("need at least one arity")
-    for a in arity_list:
-        if not isinstance(a, int) or a < 2:
-            raise BadArity(f"arity {a!r} is not an integer >= 2")
     phi = PowerSeries.constant(1, degree)
     for _ in range(degree + 1):
         total = PowerSeries.constant(0, degree)
@@ -249,31 +253,47 @@ def _count_forests(arities: tuple[int, ...], slots: int, budget: int) -> int:
     return total
 
 
-def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> list:
+def op_symbol(index: int) -> str:
+    """The one-character symbol of operation `index` in a tree word:
+    A..Z for the first 26 operations, then U+011A onwards, never "x"."""
+    return chr(0x41 + index) if index < 26 else chr(0x100 + index)
+
+
+def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> list[str]:
     """Explicitly build every arity-multiset tree with n internal nodes.
 
-    Trees are nested tuples (op_index, children...); leaves are "x".
-    Independent of the series computation, usable as a counting oracle.
+    Trees are prefix words: a node is the symbol op_symbol(i) of its
+    operation arities[i] followed by its children's words, a leaf is "x".
+    With one character per operation every word decodes uniquely, whatever
+    the number of operations.  Each level is built once from the lower
+    ones, which live only for this call.  The trees are built one by one,
+    never from the series or the counts, so this is an independent
+    counting oracle for both.
     """
-    if n == 0:
-        return ["x"]
-    out = []
-    for op_index, a in enumerate(arities):
-        for forest in _enumerate_forests(arities, a, n - 1):
-            out.append((op_index, *forest))
-    return out
+    _check_arities(arities)
+    if n < 0:
+        raise ValueError("n must be nonnegative")
+    trees = [["x"]]
+    for m in range(1, n + 1):
+        level = []
+        for index, a in enumerate(arities):
+            symbol = op_symbol(index)
+            level.extend(symbol + forest for forest in _forests(trees, a, m - 1))
+        trees.append(level)
+    return trees[n]
 
 
-def _enumerate_forests(arities: tuple[int, ...], slots: int, budget: int) -> list:
-    if slots == 0:
-        return [()] if budget == 0 else []
-    out = []
+def _forests(trees: list[list[str]], slots: int, budget: int):
+    """Yield the concatenated words of every sequence of `slots` trees
+    with `budget` internal nodes in all, drawing on the levels in `trees`."""
+    if slots == 1:
+        yield from trees[budget]
+        return
     for first in range(budget + 1):
-        heads = enumerate_trees_mixed(arities, first)
-        for tail in _enumerate_forests(arities, slots - 1, budget - first):
+        heads = trees[first]
+        for tail in _forests(trees, slots - 1, budget - first):
             for head in heads:
-                out.append((head, *tail))
-    return out
+                yield head + tail
 
 
 # -- counting sequences relative to a homomorphism law -----------------------

@@ -168,3 +168,26 @@ def test_verify_small_bound(capsys):
     assert rows["classification-verdicts"] == "skip"
     assert rows["tableau-goldens"] == "skip"
     assert rows["catalan-ballot-tables"] == "pass"
+
+
+def test_negative_sequence_length_is_usage_error(capsys):
+    for variant, value in (("classic", "-3"), ("ballot", "-2")):
+        code, out, err = run_cli(capsys, "catalan", variant, value)
+        assert code == 2
+        assert out == "" and f"usage: catalan {variant} N" in err
+
+
+def test_missing_spec_file_is_domain_error(capsys, tmp_path):
+    missing = tmp_path / "nonexistent.spec"
+    code, out, err = run_cli(capsys, "closure", str(missing))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [f"iterforge: {missing}: cannot read spec file: No such file or directory"]
+
+
+def test_non_integer_spec_entry_is_usage_error(capsys, tmp_path):
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("order 3\n1 a\n")
+    code, out, err = run_cli(capsys, "closure", str(spec_path))
+    assert code == 2
+    assert err.strip() == f"iterforge: {spec_path}:2: expected an integer, got 'a'"

@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterforge import (
     BadArity,
@@ -27,6 +29,7 @@ from iterforge import (
 from iterforge.polynomials import (
     count_trees_mixed,
     enumerate_trees_mixed,
+    op_symbol,
     relation1_fit,
     relation2_check,
     relation3_estimate,
@@ -139,6 +142,99 @@ def test_mixed_arities_match_enumeration():
         assert len(set(trees)) == len(trees) == phi[n]
         assert count_trees_mixed((2, 3), n) == phi[n]
     assert len(enumerate_trees_mixed((2, 3), 7)) == phi[7]
+
+
+# The nested-tuple enumerator that preceded the prefix-word one, kept as
+# the independent oracle: trees are (op_index, children...), leaves "x".
+
+
+def tuple_trees_mixed(arities: tuple[int, ...], n: int) -> list:
+    if n == 0:
+        return ["x"]
+    out = []
+    for op_index, a in enumerate(arities):
+        for forest in _tuple_forests(arities, a, n - 1):
+            out.append((op_index, *forest))
+    return out
+
+
+def _tuple_forests(arities: tuple[int, ...], slots: int, budget: int) -> list:
+    if slots == 0:
+        return [()] if budget == 0 else []
+    out = []
+    for first in range(budget + 1):
+        heads = tuple_trees_mixed(arities, first)
+        for tail in _tuple_forests(arities, slots - 1, budget - first):
+            for head in heads:
+                out.append((head, *tail))
+    return out
+
+
+def tuple_to_word(tree) -> str:
+    if tree == "x":
+        return "x"
+    return op_symbol(tree[0]) + "".join(tuple_to_word(child) for child in tree[1:])
+
+
+def count_word_operations(word: str, arities: tuple[int, ...]) -> int:
+    """Decode a prefix word symbol by symbol; return its number of
+    operations, or raise if it is not exactly one complete tree."""
+    arity = {op_symbol(i): a for i, a in enumerate(arities)}
+    open_slots, operations = 1, 0
+    for position, symbol in enumerate(word):
+        if open_slots == 0:
+            raise ValueError(f"{word!r}: trailing text at {position}")
+        open_slots -= 1
+        if symbol != "x":
+            open_slots += arity[symbol]
+            operations += 1
+    if open_slots:
+        raise ValueError(f"{word!r}: {open_slots} open slots at the end")
+    return operations
+
+
+DIFFERENTIAL_ARITIES = [(2,), (3,), (2, 2), (2, 3), (2, 3, 4), (2, 3) * 6, (2,) * 30]
+
+
+@pytest.mark.parametrize("arities", DIFFERENTIAL_ARITIES)
+def test_prefix_words_match_tuple_oracle(arities):
+    n = 0
+    while count_trees_mixed(arities, n) <= 5000:
+        words = enumerate_trees_mixed(arities, n)
+        assert set(words) == {tuple_to_word(t) for t in tuple_trees_mixed(arities, n)}, n
+        assert len(set(words)) == len(words)
+        assert all(count_word_operations(w, arities) == n for w in words)
+        n += 1
+    assert n >= 2
+
+
+def test_word_decoder_rejects_incomplete_words():
+    for word in ("", "A", "Ax", "Axxx", "xx"):
+        with pytest.raises(ValueError):
+            count_word_operations(word, (2,))
+
+
+def test_operation_symbols_distinct_past_ten():
+    symbols = [op_symbol(i) for i in range(300)]
+    assert len(set(symbols)) == 300 and "x" not in symbols
+    assert all(len(s) == 1 for s in symbols)
+
+
+def test_enumeration_rejects_bad_input():
+    with pytest.raises(BadArity):
+        enumerate_trees_mixed((2, 1), 3)
+    with pytest.raises(BadArity):
+        enumerate_trees_mixed((), 3)
+    with pytest.raises(ValueError):
+        enumerate_trees_mixed((2,), -1)
+
+
+@settings(deadline=None, database=None)
+@given(st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple), st.integers(0, 4))
+def test_enumeration_counts_agree(arities, n):
+    words = enumerate_trees_mixed(arities, n)
+    assert len(words) == count_trees_mixed(arities, n) == series_mixed(arities, n)[n]
+    assert len(set(words)) == len(words)
 
 
 def test_duplicate_arities_label_operations():
