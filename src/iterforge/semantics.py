@@ -5,9 +5,18 @@ already merged at order m forces the column entries of the order-(m+1)
 tableaux to merge (substituting the same cherry, or extending by the same
 root, on both sides).  Downward, under the cancellation laws
 V(a,x)=V(a,y) => x=y and V(x,a)=V(y,a) => x=y, a merged pair whose
-decompositions agree on one flank forces the other flanks to merge.  The
-closure saturates both directions to a global fixpoint and keeps a replayable
-derivation log.
+decompositions agree on one flank forces the other flanks to merge.
+
+The closure is a worklist congruence closure (Downey, Sethi and Tarjan,
+J. ACM 27(4), 1980; Nelson and Oppen, J. ACM 27(2), 1980).  Every
+effective union is appended to a derivation log, and the log is the
+queue: a cursor walks it, and each entry (m, a, b) unions the order-(m+1)
+cells in columns a and b of every tableau line.  Cancellation keeps, per
+order, a signature table keyed by (class, side, flank order, flank class);
+two labels that land on one key have their other flanks merged.  A merge
+re-keys only the members of the smaller class and the labels above that
+use them as a flank.  The log stays replayable: every entry names the rule
+and the already-merged pair it came from.
 """
 
 from __future__ import annotations
@@ -121,6 +130,7 @@ class ClosureState:
         self.config = config
         self.partitions = [DisjointSet(s) for s in sizes]
         self.log: list[Merge] = []
+        self.cursor = 0  # log entries before it have been saturated
 
     def find(self, order: int, label: int) -> int:
         return self.partitions[order].find(label)
@@ -167,78 +177,122 @@ def _validate(spec: IdentitySpec, config: ClosureConfig, universe: Universe) -> 
 
 def close(spec: IdentitySpec, config: ClosureConfig, universe: Universe) -> ClosureState:
     """Saturate the closure of a defining identity under the configured rules."""
+    state = _seed(spec, config, universe)
+    _saturate(state, universe)
+    return state
+
+
+def _seed(spec: IdentitySpec, config: ClosureConfig, universe: Universe) -> ClosureState:
+    """A state holding only the defining identity's merges."""
     _validate(spec, config, universe)
     sizes = [len(universe.catalog(m)) for m in range(config.max_order + 1)]
     state = ClosureState(spec, config, sizes)
     for i, j in spec.pairs:
         state._union(spec.order, i, j, "identity", None)
-    _saturate(state, universe)
     return state
 
 
-def _saturate(state: ClosureState, universe: Universe) -> None:
-    config = state.config
-    while True:
-        changed = False
-        for m in range(1, config.max_order + 1):
-            for members in state.classes(m):
-                if len(members) < 2:
-                    continue
-                if m < config.max_order:
-                    changed |= _apply_tableaux(state, universe, m, members)
-                if config.unicity:
-                    changed |= _apply_cancellation(state, universe, m, members)
-        if not changed:
-            return
+def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
+    """Walk the log from the state's cursor to its end, applying the rules.
 
-
-def _apply_tableaux(state: ClosureState, universe: Universe, m: int, members: list[int]) -> bool:
-    """Merge the order-(m+1) column entries over a class of order-m labels."""
-    mode = state.config.mode
-    changed = False
-    rows_a = universe.tableau_a(m + 1).rows if mode in (MODE_A, MODE_AB) else ()
-    rows_b = universe.tableau_b(m + 1).rows if mode in (MODE_B, MODE_AB) else ()
-    for x, y in zip(members, members[1:]):
-        for line, row in enumerate(rows_a, start=1):
-            changed |= state._union(m + 1, row[x - 1], row[y - 1], "tableau-A", (m, x, y, line))
-        for line, row in enumerate(rows_b, start=1):
-            changed |= state._union(m + 1, row[x - 1], row[y - 1], "tableau-B", (m, x, y, line))
-    return changed
-
-
-def _apply_cancellation(state: ClosureState, universe: Universe, m: int, members: list[int]) -> bool:
-    """Within one class, cancel flanks that already compare equal.
-
-    Members are grouped by (flank order, flank class); all members of a
-    group must then agree on the other flank, which merges those labels
-    one order down.  Formal equality of flanks is the special case of a
-    discrete class.
+    An entry (m, a, b) below the closure bound unions the order-(m+1)
+    cells of columns a and b on every tableau line of the mode; each
+    effective union lands at the end of the log and is walked in turn.
+    With the cancellation laws on, signature tables local to this call
+    turn each entry into the re-keyings that may cancel flanks; they start
+    empty, so such a closure is saturated in one call from its first
+    entry.  Each entry's work is done once, so reaching the end of the log
+    is the fixpoint.  Returns True, leaving the closure unfinished, as soon
+    as a cancellation logs a merge below order `below`.
     """
-    decomp = universe.decompositions(m)
-    by_left: dict[tuple[int, int], list[int]] = {}
-    by_right: dict[tuple[int, int], list[int]] = {}
-    for x in members:
-        lo, la, ro, rb = decomp[x - 1]
-        by_left.setdefault((lo, state.find(lo, la)), []).append(x)
-        by_right.setdefault((ro, state.find(ro, rb)), []).append(x)
-    changed = False
-    for (_, _), xs in sorted(by_left.items()):
-        if len(xs) < 2:
-            continue
-        for x, y in zip(xs, xs[1:]):
-            ro = decomp[x - 1][2]
-            changed |= state._union(
-                ro, decomp[x - 1][3], decomp[y - 1][3], "cancel-left", (m, x, y)
-            )
-    for (_, _), xs in sorted(by_right.items()):
-        if len(xs) < 2:
-            continue
-        for x, y in zip(xs, xs[1:]):
-            lo = decomp[x - 1][0]
-            changed |= state._union(
-                lo, decomp[x - 1][1], decomp[y - 1][1], "cancel-right", (m, x, y)
-            )
-    return changed
+    config = state.config
+    bound = config.max_order
+    lines: list[list[tuple[str, int, tuple[int, ...]]]] = [[] for _ in range(bound + 1)]
+    for m in range(2, bound + 1):
+        if config.mode in (MODE_A, MODE_AB):
+            lines[m] += [("tableau-A", k, row) for k, row in enumerate(universe.tableau_a(m).rows, 1)]
+        if config.mode in (MODE_B, MODE_AB):
+            lines[m] += [("tableau-B", k, row) for k, row in enumerate(universe.tableau_b(m).rows, 1)]
+    tables = _SignatureTables(state, universe) if config.unicity else None
+    log = state.log
+    while state.cursor < len(log):
+        merge = log[state.cursor]
+        state.cursor += 1
+        m, a, b = merge.order, merge.a, merge.b
+        if m < bound:
+            for rule, line, row in lines[m + 1]:
+                state._union(m + 1, row[a - 1], row[b - 1], rule, (m, a, b, line))
+        if tables is not None:
+            end = len(log)
+            tables.merged(state, m, a, b)
+            # only cancellations merge downward, so this is where it happens first
+            if any(log[i].order < below for i in range(end, len(log))):
+                return True
+    return False
+
+
+class _SignatureTables:
+    """Cancellation bookkeeping for one saturation.
+
+    It keeps its own copy of the partitions as of the log cursor: per
+    order, a class id for every label and the member lists of non-singleton
+    classes.  Each member of a non-singleton class sits in its order's
+    table under a left key (class, 0, left order, left class) and a right
+    key (class, 1, right order, right class).  A label arriving on a key
+    already held by another merges the two labels' other flanks.
+    """
+
+    def __init__(self, state: ClosureState, universe: Universe):
+        bound = state.config.max_order
+        self.decomp = [()] + [universe.decompositions(m) for m in range(1, bound + 1)]
+        self.uses = [()] + [universe.flank_uses(m) for m in range(1, bound + 1)]
+        self.owner = [list(range(len(p.parent))) for p in state.partitions]
+        self.members: list[dict[int, list[int]]] = [{} for _ in state.partitions]
+        self.tables: list[dict[tuple[int, int, int, int], int]] = [{} for _ in state.partitions]
+
+    def merged(self, state: ClosureState, k: int, a: int, b: int) -> None:
+        """Record the merge of a's and b's classes at order k, re-key every
+        label whose key changed, and cancel on each collision."""
+        owner, members = self.owner[k], self.members[k]
+        ca, cb = owner[a], owner[b]
+        kept, moved = members.pop(ca, [ca]), members.pop(cb, [cb])
+        if len(kept) < len(moved):
+            ca, kept, moved = cb, moved, kept
+        rekeyed = kept + moved if len(kept) == 1 else moved  # a singleton had no keys
+        for x in moved:
+            owner[x] = ca
+        kept.extend(moved)
+        members[ca] = kept
+        for x in rekeyed:
+            self._key(state, k, x, 0)
+            self._key(state, k, x, 1)
+        for m in range(k + 1, len(self.owner)):
+            if state.partitions[m - 1 - k].count == 1:
+                continue  # their other flanks are all equal already
+            owner_m, members_m = self.owner[m], self.members[m]
+            for side, uses in enumerate(self.uses[m]):
+                for x in moved:
+                    for z in uses[k][x - 1]:
+                        if owner_m[z] in members_m:
+                            self._key(state, m, z, side)
+
+    def _key(self, state: ClosureState, m: int, x: int, side: int) -> None:
+        """File x under its key on one side; on a collision with y, merge the
+        other flanks of y and x."""
+        lo, la, ro, rb = self.decomp[m][x - 1]
+        if side == 0:
+            order, flank, other_order, other, rule = lo, la, ro, rb, "cancel-left"
+        else:
+            order, flank, other_order, other, rule = ro, rb, lo, la, "cancel-right"
+        if state.partitions[other_order].count == 1:
+            return  # a collision could only merge flanks already equal
+        owner = self.owner
+        y = self.tables[m].setdefault((owner[m][x], side, order, owner[order][flank]), x)
+        if y == x:
+            return
+        other_y = self.decomp[m][y - 1][3 if side == 0 else 1]
+        if owner[other_order][other_y] != owner[other_order][other]:  # else merged already
+            state._union(other_order, other_y, other, rule, (m, y, x))
 
 
 def classnumbers(state: ClosureState) -> list[int]:
@@ -276,17 +330,19 @@ def formal_cascade(universe: Universe, order: int, i: int, j: int) -> tuple[tupl
     All visited pairs are distinct by construction.
     """
     cat = universe.catalog(order)
-    t, u = cat.term(i), cat.term(j)
+    cat.term(i), cat.term(j)  # label range check
     chain = [(order, i, j)]
-    while not t.is_leaf and not u.is_leaf:
-        if t.left == u.left:
-            t, u = t.right, u.right
-        elif t.right == u.right:
-            t, u = t.left, u.left
+    while order > 0:
+        decomp = universe.decompositions(order)
+        lo, la, ro, rb = decomp[i - 1]
+        lo_j, la_j, ro_j, rb_j = decomp[j - 1]
+        if (lo, la) == (lo_j, la_j):
+            order, i, j = ro, rb, rb_j
+        elif (ro, rb) == (ro_j, rb_j):
+            order, i, j = lo, la, la_j
         else:
             break
-        sub = universe.catalog(t.order)
-        chain.append((t.order, sub.label_of(t), sub.label_of(u)))
+        chain.append((order, i, j))
     return tuple(chain)
 
 
@@ -328,16 +384,14 @@ def classify_identity(
 ) -> Verdict:
     """Sort one order-n identity into formally reducible, semantically
     reducible (with a cancellation witness), or essential up to the bound."""
-    i, j = min(pair), max(pair)
+    spec = IdentitySpec.of(n, pair)
+    state = _seed(spec, ClosureConfig(bound, MODE_AB, unicity=True), universe)
+    ((i, j),) = spec.pairs
     cat = universe.catalog(n)
     if delta_oracle(cat.term(i), cat.term(j), MODE_AB):
         return Verdict(FORMALLY_REDUCIBLE, bound)
-    spec = IdentitySpec.of(n, (i, j))
-    state = close(spec, ClosureConfig(bound, MODE_AB, unicity=True), universe)
-    collapsed = any(
-        state.classnumber(m) < len(universe.catalog(m)) for m in range(1, n)
-    )
-    if not collapsed:
+    # the identity collapses a lower order iff some merge lands below n
+    if not _saturate(state, universe, below=n):
         return Verdict(ESSENTIAL_UP_TO, bound)
     witness = find_witness_chain(universe, spec, bound)
     return Verdict(SEMANTICALLY_REDUCIBLE, bound, witness)

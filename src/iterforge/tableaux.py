@@ -109,6 +109,7 @@ class Universe:
         self._tableaux_a: list[TableauA | None] = [None]
         self._tableaux_b: list[TableauB | None] = [None]
         self._decompositions: list[tuple[tuple[int, int, int, int], ...] | None] = [None]
+        self._flank_uses: list[tuple[tuple[tuple[tuple[int, ...], ...], ...], ...] | None] = [None]
 
     def ensure(self, order: int) -> None:
         if order > self.max_order:
@@ -151,6 +152,7 @@ class Universe:
         self._tableaux_a.append(tab_a)
         self._tableaux_b.append(TableauB(n, (row_left, row_right)))
         self._decompositions.append(None)
+        self._flank_uses.append(None)
 
     def build(self, order: int) -> tuple[Catalog, TableauA]:
         """Catalog and substitution grid of one order, constructing as needed."""
@@ -189,6 +191,21 @@ class Universe:
                 out.append((lo, self.catalog(lo).label_of(t.left), ro, self.catalog(ro).label_of(t.right)))
             self._decompositions[order] = tuple(out)
         return self._decompositions[order]
+
+    def flank_uses(self, order: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        """Inverse of decompositions(order), one part per side: part[k][x-1]
+        holds the labels of this order whose left (part 0) or right (part 1)
+        flank is label x of order k."""
+        decomp = self.decompositions(order)
+        if self._flank_uses[order] is None:
+            sides = [[[[] for _ in self._catalogs[k].terms] for k in range(order)] for _ in range(2)]
+            for label, (lo, la, ro, rb) in enumerate(decomp, start=1):
+                sides[0][lo][la - 1].append(label)
+                sides[1][ro][rb - 1].append(label)
+            self._flank_uses[order] = tuple(
+                tuple(tuple(tuple(users) for users in by_label) for by_label in side) for side in sides
+            )
+        return self._flank_uses[order]
 
     # -- counting ----------------------------------------------------------
 

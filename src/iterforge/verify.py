@@ -9,6 +9,7 @@ whose order requirement exceeds the requested bound are marked "skip".
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -140,6 +141,7 @@ class Check:
     status: str
     expected: str
     computed: str
+    elapsed_ms: float = 0.0
 
 
 @dataclass
@@ -607,13 +609,13 @@ def run_verify(
         universe = Universe(max_order)
     checks = []
     for check_id, func, minimum in CHECKS:
+        start = time.perf_counter()
         if minimum > max_order:
-            checks.append(
-                Check(check_id, "requires higher order", SKIP, f"order >= {minimum}", f"bound {max_order}")
-            )
-            continue
-        result = func(universe, max_order, closure_order)
+            result = Check(check_id, "requires higher order", SKIP, f"order >= {minimum}", f"bound {max_order}")
+        else:
+            result = func(universe, max_order, closure_order)
         assert result.id == check_id
+        result.elapsed_ms = (time.perf_counter() - start) * 1000
         checks.append(result)
     return VerifyReport(max_order, closure_order, checks)
 
@@ -645,6 +647,7 @@ def report_record(report: VerifyReport) -> dict:
                 "status": c.status,
                 "expected": c.expected,
                 "computed": c.computed,
+                "elapsed_ms": round(c.elapsed_ms, 3),
             }
             for c in report.checks
         ],

@@ -191,3 +191,19 @@ def test_non_integer_spec_entry_is_usage_error(capsys, tmp_path):
     code, out, err = run_cli(capsys, "closure", str(spec_path))
     assert code == 2
     assert err.strip() == f"iterforge: {spec_path}:2: expected an integer, got 'a'"
+
+
+def test_classify_reflexive_pair_is_domain_error(capsys):
+    code, out, err = run_cli(capsys, "classify", "3", "1", "1")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == ["iterforge: reflexive pair (1, 1)"]
+
+
+def test_verify_json_carries_per_check_cost(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--order", "5", "--format", "json")
+    assert code == 0
+    checks = json.loads(out)["checks"]
+    assert checks
+    for check in checks:
+        assert isinstance(check["elapsed_ms"], float) and check["elapsed_ms"] >= 0, check["id"]

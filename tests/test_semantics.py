@@ -4,6 +4,8 @@ from collections import deque
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterforge import (
     ClosureConfig,
@@ -11,6 +13,7 @@ from iterforge import (
     IdentitySpec,
     InvalidSpec,
     OrderOverflow,
+    Universe,
     all_terms,
     catalan,
     classify_identity,
@@ -26,10 +29,15 @@ from iterforge import (
     singletons,
     unicity_bounds_check,
 )
+from iterforge.incidence import MODE_AB, delta_oracle
 from iterforge.semantics import (
     ESSENTIAL_UP_TO,
     FORMALLY_REDUCIBLE,
+    MODE_A,
+    MODE_B,
     SEMANTICALLY_REDUCIBLE,
+    ClosureState,
+    Verdict,
     class_handle,
     closure_record,
     closure_text,
@@ -495,3 +503,207 @@ def test_closure_record_and_text(universe):
 
 def test_witness_search_returns_none_for_essential(universe):
     assert find_witness_chain(universe, IdentitySpec.of(3, (1, 4)), 7) is None
+
+
+def test_classify_rejects_reflexive_pair(universe):
+    with pytest.raises(InvalidSpec, match="reflexive"):
+        classify_identity(universe, 3, (1, 1), 7)
+
+
+# -- the Term-walking cascade, kept as the oracle ----------------------------
+
+
+def term_cascade(universe, order, i, j):
+    """formal_cascade over Term trees: compare flanks structurally and look
+    the remaining flanks up in their catalogs."""
+    cat = universe.catalog(order)
+    t, u = cat.term(i), cat.term(j)
+    chain = [(order, i, j)]
+    while not t.is_leaf and not u.is_leaf:
+        if t.left == u.left:
+            t, u = t.right, u.right
+        elif t.right == u.right:
+            t, u = t.left, u.left
+        else:
+            break
+        sub = universe.catalog(t.order)
+        chain.append((t.order, sub.label_of(t), sub.label_of(u)))
+    return tuple(chain)
+
+
+def test_formal_cascade_matches_term_oracle(universe):
+    for order in (3, 4, 5):
+        size = catalan(order)
+        for i in range(1, size + 1):
+            for j in range(1, size + 1):
+                assert formal_cascade(universe, order, i, j) == term_cascade(universe, order, i, j)
+
+
+# -- the round-based closure, kept as the oracle -----------------------------
+
+
+def round_based_close(spec, config, universe):
+    """Round-based closure: rescan every class at every order until a
+    whole round merges nothing."""
+    sizes = [len(universe.catalog(m)) for m in range(config.max_order + 1)]
+    state = ClosureState(spec, config, sizes)
+    for i, j in spec.pairs:
+        state._union(spec.order, i, j, "identity", None)
+    _saturate(state, universe)
+    return state
+
+
+def _saturate(state: ClosureState, universe: Universe) -> None:
+    config = state.config
+    while True:
+        changed = False
+        for m in range(1, config.max_order + 1):
+            for members in state.classes(m):
+                if len(members) < 2:
+                    continue
+                if m < config.max_order:
+                    changed |= _apply_tableaux(state, universe, m, members)
+                if config.unicity:
+                    changed |= _apply_cancellation(state, universe, m, members)
+        if not changed:
+            return
+
+
+def _apply_tableaux(state: ClosureState, universe: Universe, m: int, members: list[int]) -> bool:
+    """Merge the order-(m+1) column entries over a class of order-m labels."""
+    mode = state.config.mode
+    changed = False
+    rows_a = universe.tableau_a(m + 1).rows if mode in (MODE_A, MODE_AB) else ()
+    rows_b = universe.tableau_b(m + 1).rows if mode in (MODE_B, MODE_AB) else ()
+    for x, y in zip(members, members[1:]):
+        for line, row in enumerate(rows_a, start=1):
+            changed |= state._union(m + 1, row[x - 1], row[y - 1], "tableau-A", (m, x, y, line))
+        for line, row in enumerate(rows_b, start=1):
+            changed |= state._union(m + 1, row[x - 1], row[y - 1], "tableau-B", (m, x, y, line))
+    return changed
+
+
+def _apply_cancellation(state: ClosureState, universe: Universe, m: int, members: list[int]) -> bool:
+    """Within one class, cancel flanks that already compare equal.
+
+    Members are grouped by (flank order, flank class); all members of a
+    group must then agree on the other flank, which merges those labels
+    one order down.  Formal equality of flanks is the special case of a
+    discrete class.
+    """
+    decomp = universe.decompositions(m)
+    by_left: dict[tuple[int, int], list[int]] = {}
+    by_right: dict[tuple[int, int], list[int]] = {}
+    for x in members:
+        lo, la, ro, rb = decomp[x - 1]
+        by_left.setdefault((lo, state.find(lo, la)), []).append(x)
+        by_right.setdefault((ro, state.find(ro, rb)), []).append(x)
+    changed = False
+    for (_, _), xs in sorted(by_left.items()):
+        if len(xs) < 2:
+            continue
+        for x, y in zip(xs, xs[1:]):
+            ro = decomp[x - 1][2]
+            changed |= state._union(
+                ro, decomp[x - 1][3], decomp[y - 1][3], "cancel-left", (m, x, y)
+            )
+    for (_, _), xs in sorted(by_right.items()):
+        if len(xs) < 2:
+            continue
+        for x, y in zip(xs, xs[1:]):
+            lo = decomp[x - 1][0]
+            changed |= state._union(
+                lo, decomp[x - 1][1], decomp[y - 1][1], "cancel-right", (m, x, y)
+            )
+    return changed
+
+
+CLOSURE_MODES = [("A", False), ("B", False), ("AB", False), ("AB", True)]
+
+
+def single_pair_specs(order):
+    return [IdentitySpec.of(order, pair) for pair in combinations(range(1, catalan(order) + 1), 2)]
+
+
+@pytest.mark.parametrize("mode,unicity", CLOSURE_MODES)
+def test_worklist_closure_matches_round_based_oracle(universe, mode, unicity):
+    runs = [(spec, 7) for spec in single_pair_specs(3) + single_pair_specs(4)]
+    runs += [(spec, 8) for spec in single_pair_specs(3)]
+    for spec, bound in runs:
+        config = ClosureConfig(bound, mode, unicity)
+        state = close(spec, config, universe)
+        expected = round_based_close(spec, config, universe)
+        for m in range(bound + 1):
+            assert state.classes(m) == expected.classes(m), (spec, config, m)
+        assert replay(universe, state) is True, (spec, config)
+
+
+def test_flank_merge_rekeys_the_labels_above(universe):
+    # V(c,a) = V(c,b) cancels to a = b at order 2; that merge must re-key
+    # V(a,r) and V(b,s), already equal, so that they cancel to r = s
+    cat2, cat3, cat6 = universe.catalog(2), universe.catalog(3), universe.catalog(6)
+    a, b = cat2.term(1), cat2.term(2)
+    c, r, s = cat3.term(5), cat3.term(5), cat3.term(2)
+    spec = IdentitySpec.of(
+        6,
+        (cat6.label_of(Term(c, a)), cat6.label_of(Term(c, b))),
+        (cat6.label_of(Term(a, r)), cat6.label_of(Term(b, s))),
+    )
+    config = ClosureConfig(6, "B", True)
+    state = close(spec, config, universe)
+    assert state.same_class(3, 5, 2)
+    expected = round_based_close(spec, config, universe)
+    for m in range(7):
+        assert state.classes(m) == expected.classes(m), m
+
+
+def full_closure_verdict(universe, n, pair, bound):
+    """classify_identity without the early exit: close with cancellation to
+    the bound, then ask whether any order below n collapsed."""
+    i, j = pair
+    cat = universe.catalog(n)
+    if delta_oracle(cat.term(i), cat.term(j), MODE_AB):
+        return Verdict(FORMALLY_REDUCIBLE, bound)
+    spec = IdentitySpec.of(n, pair)
+    state = close(spec, ClosureConfig(bound, MODE_AB, unicity=True), universe)
+    if all(state.classnumber(m) == catalan(m) for m in range(1, n)):
+        return Verdict(ESSENTIAL_UP_TO, bound)
+    return Verdict(SEMANTICALLY_REDUCIBLE, bound, find_witness_chain(universe, spec, bound))
+
+
+def test_early_exit_verdicts_match_full_closure(universe):
+    for n in (3, 4):
+        for pair in combinations(range(1, catalan(n) + 1), 2):
+            assert classify_identity(universe, n, pair, 7) == full_closure_verdict(universe, n, pair, 7), pair
+
+
+# -- closure laws ------------------------------------------------------------
+
+
+@st.composite
+def closure_cases(draw):
+    order = draw(st.sampled_from([3, 4]))
+    pair = st.tuples(st.integers(1, catalan(order)), st.integers(1, catalan(order))).filter(
+        lambda p: p[0] != p[1]
+    )
+    pairs = draw(st.lists(pair, min_size=1, max_size=3))
+    extra = draw(pair)
+    bound = draw(st.integers(max(4, order), 6))
+    mode = draw(st.sampled_from(["A", "B", "AB"]))
+    return IdentitySpec.of(order, *pairs), extra, ClosureConfig(bound, mode, draw(st.booleans()))
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(closure_cases())
+def test_closure_laws(universe, case):
+    spec, extra, config = case
+    state = close(spec, config, universe)
+    assert replay(universe, state)
+    bound = config.max_order
+    expected = round_based_close(spec, config, universe)
+    assert all(state.classes(m) == expected.classes(m) for m in range(bound + 1))
+    assert len(state.log) == sum(catalan(m) - state.classnumber(m) for m in range(bound + 1))
+    wider = close(IdentitySpec.of(spec.order, *spec.pairs, extra), config, universe)
+    for m in range(bound + 1):
+        for members in state.classes(m):
+            assert len({wider.find(m, x) for x in members}) == 1, (m, members)
