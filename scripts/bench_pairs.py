@@ -5,9 +5,11 @@ medians as a BENCH_*.json file.
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_6.json
 
 Each run is `python3 perfbench/run.py --workload W --seed S` in the root of
-one checkout, so each side measures its own sources with its own benchmark
-code.  For every seed and workload both sides run back to back; odd seeds
-run the parent first and even seeds the change first.  The output holds,
+one checkout, at the benchmark's own run length, so each side measures its
+own sources with its own benchmark code.  W is each gated workload (verify,
+cli) and S each of the seeds 11-20.  For every seed and workload both sides
+run back to back; odd seeds run the parent first and even seeds the change
+first.  The output holds,
 per workload and end-to-end metric, every run's value, the median and
 quartiles of each side, and the number of pairs the change won, with the
 seeds, the command, the Python version and the processor count.
@@ -25,12 +27,12 @@ from pathlib import Path
 from statistics import median, quantiles
 
 METRICS = ("latency_p50_ms", "peak_rss_mb", "setup_s")  # all lower-is-better
+WORKLOADS = ("verify", "cli")
+SEEDS = tuple(range(11, 21))
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: int | None) -> dict:
+def run_once(checkout: Path, workload: str, seed: int) -> dict:
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    if seconds is not None:
-        argv += ["--seconds", str(seconds)]
     proc = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, timeout=1800)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -48,26 +50,22 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
-    parser.add_argument("--workloads", nargs="+", default=["verify", "cli"])
-    parser.add_argument("--seeds", nargs="+", type=int, default=list(range(11, 21)))
-    parser.add_argument("--seconds", type=int, default=None, help="run length; the benchmark's default if unset")
     args = parser.parse_args(argv)
 
     sides = {"parent": args.parent, "change": args.change}
-    results = {w: {side: [] for side in sides} for w in args.workloads}
-    for seed in args.seeds:
+    results = {w: {side: [] for side in sides} for w in WORKLOADS}
+    for seed in SEEDS:
         order = ["parent", "change"] if seed % 2 else ["change", "parent"]
-        for workload in args.workloads:
+        for workload in WORKLOADS:
             for side in order:
-                result = run_once(sides[side], workload, seed, args.seconds)
+                result = run_once(sides[side], workload, seed)
                 results[workload][side].append(result)
                 p50 = result["metrics"]["latency_p50_ms"]["value"]
                 print(f"seed {seed} {workload} {side}: p50 {p50:.1f} ms, failed {result['failed']}", flush=True)
 
     record = {
-        "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED"
-        + (f" --seconds {args.seconds}" if args.seconds is not None else ""),
-        "seeds": args.seeds,
+        "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED",
+        "seeds": list(SEEDS),
         "order": "odd seeds run the parent first, even seeds the change first",
         "python": sys.version,
         "cpu_count": os.cpu_count(),
@@ -82,7 +80,7 @@ def main(argv=None) -> int:
             entry[metric] = {
                 "parent": summary(values["parent"]),
                 "change": summary(values["change"]),
-                "change_better_pairs": f"{wins}/{len(args.seeds)}",
+                "change_better_pairs": f"{wins}/{len(SEEDS)}",
             }
         entry["failed"] = {side: sum(r["failed"] for r in runs) for side, runs in by_side.items()}
         entry["attempted"] = {side: sum(r["attempted"] for r in runs) for side, runs in by_side.items()}

@@ -200,10 +200,11 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
     effective union lands at the end of the log and is walked in turn.
     With the cancellation laws on, signature tables local to this call
     turn each entry into the re-keyings that may cancel flanks; they start
-    empty, so such a closure is saturated in one call from its first
-    entry.  Each entry's work is done once, so reaching the end of the log
-    is the fixpoint.  Returns True, leaving the closure unfinished, as soon
-    as a cancellation logs a merge below order `below`.
+    from the discrete partitions, so on a resumed state they first replay
+    the entries before the cursor.  Each entry's work is done once, so
+    reaching the end of the log is the fixpoint.  Returns True, leaving the
+    closure unfinished, as soon as a cancellation logs a merge below order
+    `below`.
     """
     config = state.config
     bound = config.max_order
@@ -213,8 +214,15 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
             lines[m] += [("tableau-A", k, row) for k, row in enumerate(universe.tableau_a(m).rows, 1)]
         if config.mode in (MODE_B, MODE_AB):
             lines[m] += [("tableau-B", k, row) for k, row in enumerate(universe.tableau_b(m).rows, 1)]
-    tables = _SignatureTables(state, universe) if config.unicity else None
     log = state.log
+    tables = None
+    if config.unicity:
+        tables = _SignatureTables(state, universe)
+        end = len(log)
+        for merge in log[: state.cursor]:  # a resumed closure's tables catch up first
+            tables.merged(state, merge.order, merge.a, merge.b)
+        if any(log[i].order < below for i in range(end, len(log))):
+            return True
     while state.cursor < len(log):
         merge = log[state.cursor]
         state.cursor += 1
@@ -267,8 +275,6 @@ class _SignatureTables:
             self._key(state, k, x, 0)
             self._key(state, k, x, 1)
         for m in range(k + 1, len(self.owner)):
-            if state.partitions[m - 1 - k].count == 1:
-                continue  # their other flanks are all equal already
             owner_m, members_m = self.owner[m], self.members[m]
             for side, uses in enumerate(self.uses[m]):
                 for x in moved:
@@ -284,14 +290,10 @@ class _SignatureTables:
             order, flank, other_order, other, rule = lo, la, ro, rb, "cancel-left"
         else:
             order, flank, other_order, other, rule = ro, rb, lo, la, "cancel-right"
-        if state.partitions[other_order].count == 1:
-            return  # a collision could only merge flanks already equal
         owner = self.owner
         y = self.tables[m].setdefault((owner[m][x], side, order, owner[order][flank]), x)
-        if y == x:
-            return
-        other_y = self.decomp[m][y - 1][3 if side == 0 else 1]
-        if owner[other_order][other_y] != owner[other_order][other]:  # else merged already
+        if y != x:
+            other_y = self.decomp[m][y - 1][3 if side == 0 else 1]
             state._union(other_order, other_y, other, rule, (m, y, x))
 
 

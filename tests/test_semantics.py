@@ -47,6 +47,7 @@ from iterforge.semantics import (
     order4_sample_formula,
     replay,
 )
+from iterforge.semantics import _saturate as worklist_saturate
 from iterforge.terms import LEAF, Term, substitute_cherry
 
 ORDER3_PAIRS = list(combinations(range(1, 6), 2))
@@ -675,6 +676,20 @@ def test_early_exit_verdicts_match_full_closure(universe):
     for n in (3, 4):
         for pair in combinations(range(1, catalan(n) + 1), 2):
             assert classify_identity(universe, n, pair, 7) == full_closure_verdict(universe, n, pair, 7), pair
+
+
+def test_resumed_cancellation_closure_matches_one_pass(universe):
+    # a second pair merged into a closed state: the resumed saturation starts
+    # new signature tables, which must first catch up with the merged classes
+    config = ClosureConfig(6, MODE_AB, unicity=True)
+    for p, q in combinations(combinations(range(1, catalan(3) + 1), 2), 2):
+        state = close(IdentitySpec.of(3, p), config, universe)
+        state.spec = IdentitySpec.of(3, p, q)
+        state._union(3, *q, "identity", None)
+        assert not worklist_saturate(state, universe)
+        expected = close(state.spec, config, universe)
+        assert all(state.classes(m) == expected.classes(m) for m in range(7)), (p, q)
+        assert replay(universe, state), (p, q)
 
 
 # -- closure laws ------------------------------------------------------------
