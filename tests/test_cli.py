@@ -1,6 +1,8 @@
 """Command-line adapter: thin over the library, stable exit codes."""
 
+import hashlib
 import json
+import re
 
 import pytest
 
@@ -207,3 +209,169 @@ def test_verify_json_carries_per_check_cost(capsys):
     assert checks
     for check in checks:
         assert isinstance(check["elapsed_ms"], float) and check["elapsed_ms"] >= 0, check["id"]
+
+
+# -- output goldens ------------------------------------------------------------
+
+SPEC = "SPEC"  # replaced by the path of a file holding the spec 3:(2,4)
+
+
+def golden_commands():
+    """Every command in every format it renders, at small inputs."""
+    commands = []
+
+    def each_format(formats, *argv):
+        for fmt in formats:
+            commands.append((*argv, "--format", fmt))
+
+    all_formats = ("text", "json", "csv")
+    for n in range(5):
+        each_format(all_formats, "enumerate", "--order", str(n))
+    for n in range(1, 5):
+        for mode in ("A", "B", "AB"):
+            each_format(all_formats, "tableau", "--order", str(n), "--mode", mode)
+        for mode in ("A", "AB"):
+            each_format(all_formats, "incidence", "--order", str(n), "--mode", mode)
+    each_format(all_formats, "closure", SPEC, "--order", "5", "--mode", "AB")
+    each_format(all_formats, "closure", SPEC, "--order", "5", "--mode", "AB", "--unicity")
+    for j in ("5", "4"):
+        each_format(("text", "json"), "classify", "3", "1", j, "--order", "7")
+    for target in ("VVxxx", "4"):
+        each_format(("text", "json"), "skein", target)
+    for params in (("classic", "6"), ("ballot", "5"), ("general", "3", "5"), ("mixed", "2,3", "6"),
+                   ("convolution", "2", "10")):
+        each_format(all_formats, "catalan", *params)
+    each_format(all_formats, "verify", "--order", "4")
+    return commands
+
+
+def output_digest(argv, out: str) -> str:
+    if argv[0] == "verify":
+        out = re.sub(r',\n\s*"elapsed_ms": [^\n]*', "", out)
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
+OUTPUT_GOLDENS = {
+    "enumerate --order 0 --format text": "b990ad606117e24441230cd9e3e473e7c4043b04a2dbf69dacf05b513d946121",
+    "enumerate --order 0 --format json": "367a0e1e1f30994cb8d5833a44b3e074bd98a9cc274047ec9c6b25919fc1a5c2",
+    "enumerate --order 0 --format csv": "f21733fe84c59f42c9f922da76c89e389060319932254521a56b5e592e83007e",
+    "enumerate --order 1 --format text": "645123dbf8d4886526fbb8539e40507352dcc70fbfae38b4c6468eb51c46d764",
+    "enumerate --order 1 --format json": "dad8394acb4b30bfe4185458ea905792bc0c260fe23d18bb4bd7d826702cbbc8",
+    "enumerate --order 1 --format csv": "5c588aeeeb5c62954fd12d653f797671b7601e43af2e7f99acf8270226c6bf43",
+    "enumerate --order 2 --format text": "3dac80356744713f6666aaedb07de2f2278a072784e3993b615ba939b7d09770",
+    "enumerate --order 2 --format json": "5339b52e9e2902becbb2f4345bc444719e86304b3e46ef4823bf0f1e145f99bf",
+    "enumerate --order 2 --format csv": "22eeb221ca1f63d1802f8816897d1be492dee6d9e1bac59881ff3925fce8d997",
+    "enumerate --order 3 --format text": "f59203d811d3f562a077cffdfbba3d2054689e34e2ff875e645a92f95fdbb663",
+    "enumerate --order 3 --format json": "90b20b6184fe24db58b7af7aaf80606e99518e86a2aef66f41d5610a4c50ab0d",
+    "enumerate --order 3 --format csv": "0608fd80ab78ff64b3c7b369510897e9e39944e116b9dd51dab6d6c38071eee0",
+    "enumerate --order 4 --format text": "ced4edf318d04596ad2d143eb560d65378ea43530308df254fadd40cd0a6dc8a",
+    "enumerate --order 4 --format json": "ab0843ae8add1c21f356378415d75bea808aa4e33c3d1a2e56992224f7a0d17c",
+    "enumerate --order 4 --format csv": "d9ace4e590b03b971a7e9d85aaf09fb8455b09c955248f1f3430ba0e67c7892b",
+    "tableau --order 1 --mode A --format text": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "tableau --order 1 --mode A --format json": "7ce69217a6591ebf4cb98d99f523d08314d881c94c91706f65dbb2207ca033b3",
+    "tableau --order 1 --mode A --format csv": "4355a46b19d348dc2f57c046f8ef63d4538ebb936000f3c9ee954a27460dd865",
+    "tableau --order 1 --mode B --format text": "ad0fadf63cc7cd779ce475e345bf4063565b63a3c2efef1eebc89790aaa6acba",
+    "tableau --order 1 --mode B --format json": "84f128011a0f69821f2f92a5bbb6a78e1b668c6e5dae4dce646db1324dec820f",
+    "tableau --order 1 --mode B --format csv": "ad0fadf63cc7cd779ce475e345bf4063565b63a3c2efef1eebc89790aaa6acba",
+    "tableau --order 1 --mode AB --format text": "ccce065269620747ca153e9a430d44b175cdc1f7e0958741b567250a1d6b1d95",
+    "tableau --order 1 --mode AB --format json": "b79830a289133a6933873255a454297a5801dff16d6c41cb518bbc1a35c15443",
+    "tableau --order 1 --mode AB --format csv": "ccce065269620747ca153e9a430d44b175cdc1f7e0958741b567250a1d6b1d95",
+    "incidence --order 1 --mode A --format text": "84c89f213622c8c2d365f29cf913e259b780e2cd9025ce2ea11b50830e34a161",
+    "incidence --order 1 --mode A --format json": "664eff9af8e95d7162fa6662aa5108443ca1bf2380fc5b976cacdb054c47e7fa",
+    "incidence --order 1 --mode A --format csv": "6aaf9c907d45e313eb55577f4bfe84e6e862c5900909d163f380621d1f88e052",
+    "incidence --order 1 --mode AB --format text": "84c89f213622c8c2d365f29cf913e259b780e2cd9025ce2ea11b50830e34a161",
+    "incidence --order 1 --mode AB --format json": "c4f98074804ed638da13bb09760e8d11ab2e2de43dd10ee986257f583dac4956",
+    "incidence --order 1 --mode AB --format csv": "6aaf9c907d45e313eb55577f4bfe84e6e862c5900909d163f380621d1f88e052",
+    "tableau --order 2 --mode A --format text": "a6e2b7a040683432de03a18fd8a1939a2fdf82585b364bfc874bdd4095c4cae1",
+    "tableau --order 2 --mode A --format json": "d8821a65917ada4a44c13876077b97db61d6d410cb8beea661efbdf2e8c50cac",
+    "tableau --order 2 --mode A --format csv": "a6e2b7a040683432de03a18fd8a1939a2fdf82585b364bfc874bdd4095c4cae1",
+    "tableau --order 2 --mode B --format text": "a6e2b7a040683432de03a18fd8a1939a2fdf82585b364bfc874bdd4095c4cae1",
+    "tableau --order 2 --mode B --format json": "5d9bd665be098e796143f3800440392e77e178ffdc39fcdc77e97f736e9b5dd7",
+    "tableau --order 2 --mode B --format csv": "a6e2b7a040683432de03a18fd8a1939a2fdf82585b364bfc874bdd4095c4cae1",
+    "tableau --order 2 --mode AB --format text": "06014e5ce594ff7deb2b477da939a5382c1ecfe8d41f72b32ede25db3817807a",
+    "tableau --order 2 --mode AB --format json": "242583d84033ee38a450b329fce8fb6bb023171440159c98174f4de5a3ceac22",
+    "tableau --order 2 --mode AB --format csv": "06014e5ce594ff7deb2b477da939a5382c1ecfe8d41f72b32ede25db3817807a",
+    "incidence --order 2 --mode A --format text": "328a9aa476ea3cb4e570c8996b6961954bad0050cdf5232e52be11765fa9d398",
+    "incidence --order 2 --mode A --format json": "063686f35e6877bcc3ab913124c57b60b2cf2142f747dbff22805006a2116a01",
+    "incidence --order 2 --mode A --format csv": "8ccb2d3f5e1bed97292ec57707ecd30f79c7582334f37773c123eca29c614fc1",
+    "incidence --order 2 --mode AB --format text": "328a9aa476ea3cb4e570c8996b6961954bad0050cdf5232e52be11765fa9d398",
+    "incidence --order 2 --mode AB --format json": "7b1e6b40723971f9cf8d65c88a3dba6d5459ff5a6fd0d13da27f5ffba08342fe",
+    "incidence --order 2 --mode AB --format csv": "8ccb2d3f5e1bed97292ec57707ecd30f79c7582334f37773c123eca29c614fc1",
+    "tableau --order 3 --mode A --format text": "e62788c23c0095a331cda910e738762f4c0f279eb86fad4020332722ff805852",
+    "tableau --order 3 --mode A --format json": "f7b01e5c7dc3f966d81932134adebb9ba761937703243fd0220099d699bdd36d",
+    "tableau --order 3 --mode A --format csv": "b01fbe25208c19d8e9a029c7af7d949e52bf625aaaa67d6b6efe705f8ccb3ce6",
+    "tableau --order 3 --mode B --format text": "7e2c2f5a54c3b9557b9bb30410097cabc570c21258658340f0d4646f6b932035",
+    "tableau --order 3 --mode B --format json": "6f16b31065142d47fb3202bf5dbfe7acfec5ccb4db66ee7bbd47888a467ff39d",
+    "tableau --order 3 --mode B --format csv": "c4929f889e38a2e36a8bc56991c486910e63b2713dee49efd5ffea1546771eaa",
+    "tableau --order 3 --mode AB --format text": "8f636d428529a72d8061e350ed2d7e865978284cfbbebe8249d3bcdff8a36cc8",
+    "tableau --order 3 --mode AB --format json": "eee1f61c4bca92da5a51c0d53a02bb3e39cb700556d4a186aabffab7642cea1b",
+    "tableau --order 3 --mode AB --format csv": "31a01781722cc265c8905a47ce9b087c145811d6a69e3cc53816f0030b8b87d0",
+    "incidence --order 3 --mode A --format text": "71a90076d6935e55c1b87f2aa4a2415cef0350252de18a0cd3f705a16703d3fd",
+    "incidence --order 3 --mode A --format json": "9adcfa10d823873098cb3b65e16d99186ccf89201a2d90c8e401fdd473ddb479",
+    "incidence --order 3 --mode A --format csv": "6e85951227fa4ad479cced68b2ac4dfee50c1b085cf52bf342d186f93f32795f",
+    "incidence --order 3 --mode AB --format text": "257f50ad4a9faf00378ab59aa74ba638d5079b5df38564aa53dce84c0fdf0019",
+    "incidence --order 3 --mode AB --format json": "9ee6779a3604e7352063a56788aa4e926f8b4f60b8e2e9098bbd3c0750e00542",
+    "incidence --order 3 --mode AB --format csv": "f45f6704a3a0ba6d5ec9c880825c0c659c7f1fe675f32a07d912c81749b04beb",
+    "tableau --order 4 --mode A --format text": "390c7dc4b13c208d706ae487b722d25c2a287121df5616abd89106555dad425c",
+    "tableau --order 4 --mode A --format json": "9a95a2698efab37c863eee9e6d256a9b1b4906d86d0760a0d27c556610bb7763",
+    "tableau --order 4 --mode A --format csv": "65594944fcd97e36d4a56b186fc58659e88addf863910aafd058a4ef639b8d80",
+    "tableau --order 4 --mode B --format text": "6b2245378dd7957991b43aedc7e10e925668215f67bbdded43dea4cc8e175dd9",
+    "tableau --order 4 --mode B --format json": "799d1a41a71e84852fe6c9188d5fce6cc2b5ee7e540e14f16bd3c49b28309bef",
+    "tableau --order 4 --mode B --format csv": "6c3a6333f50d5bf6250fa5fa39903090fd47c58f3e94de2f4baebb3ea5609c5c",
+    "tableau --order 4 --mode AB --format text": "950ec17def838f9775e4f845a3f134368b8c761ae04090370e3be47b4452a5e1",
+    "tableau --order 4 --mode AB --format json": "abf18c555a3040a395555fae8684dba36cbcd1db24964e0632adbec5453ed1a1",
+    "tableau --order 4 --mode AB --format csv": "cb13e7e5c04d266c4fc2b244096c96f0e5100a83d082d2afb1f83b04226a4b9b",
+    "incidence --order 4 --mode A --format text": "c52ba5712c085b25946fd25405559f4d4719357d522c52ebfb67815b0934e2dc",
+    "incidence --order 4 --mode A --format json": "8f41e16293935e041a53aacecdb68cbc4620f72277021ce7191d65b9e55e0637",
+    "incidence --order 4 --mode A --format csv": "7aaa80510665ebb115b247485328dd6f8ac0c21ed2b27412f23cb6c139792614",
+    "incidence --order 4 --mode AB --format text": "1cbfe13a6a90d85404330d1a981e1bf44521e9716a49224ff5263c144ec89c8a",
+    "incidence --order 4 --mode AB --format json": "2ba294fa3fdf52c106722a42818e55d198b558cc379ed97953fda0474904ef8c",
+    "incidence --order 4 --mode AB --format csv": "b2641cb82cab4c880325e3cd19cf1a083d0cfe88221615dced7c0108cc7f55e7",
+    "closure SPEC --order 5 --mode AB --format text": "cc886e6a2e96eac72b6805ba6afe9d34e8101df6388f0db0e206c8d143b489ef",
+    "closure SPEC --order 5 --mode AB --format json": "40b8558b306d45e8ab17581bf16fe42f4f32e1da2bc26a91b0e2eb2f7aa09bf4",
+    "closure SPEC --order 5 --mode AB --format csv": "c938aba1f47787e913c22548df5b5b02bce122794b2c2ada166f5b8e06e8473f",
+    "closure SPEC --order 5 --mode AB --unicity --format text": "eeedae7d5eb27d460a008f9bd5cc5b702987e8be7e7990f808f66ec004ae0c77",
+    "closure SPEC --order 5 --mode AB --unicity --format json": "75af8e4e2d69fb972161f8c2ff972ab6f8dc59e0ac51e8681edad446a9cd83e9",
+    "closure SPEC --order 5 --mode AB --unicity --format csv": "0292442691daa494211f36392c00be86ad938a420a6e76fe802acd599f307ab7",
+    "classify 3 1 5 --order 7 --format text": "c4e1c63742c2a49c50268a202b66dcfbca19aca2d2ff7021759fd807da8178a1",
+    "classify 3 1 5 --order 7 --format json": "afd195e4bde0c1526fb3111db8742c64efca5304fcbbb46aceab5b0a308b847b",
+    "classify 3 1 4 --order 7 --format text": "f87be42aaadef1ff338e1cec52c1e586fbc24a4dcf92a8397bd829f1c347a8e9",
+    "classify 3 1 4 --order 7 --format json": "a9a6c2f028b302e590d4a72767102a07573d653b559bbbffcfcd3e72be63dbe2",
+    "skein VVxxx --format text": "117fa602bf025f64852dd8b212332d60e229490767bc92ca405267ce3084c6a8",
+    "skein VVxxx --format json": "4e9805860b678fa9d0a9705dde1aaaee0769f143dfc36fdbc73c0e1c8048d977",
+    "skein 4 --format text": "d29a1305264e155370e0a093f5607ed997b1a7e2d436aad376443af931601650",
+    "skein 4 --format json": "3b964111fc279ee3ac43c0ded2f9caa1ab731fead72b8e38ebcc8c9836473b20",
+    "catalan classic 6 --format text": "9fb52ac43ecc458a80d90770258e9c04c392d910feb2612a8f9d40c28532b656",
+    "catalan classic 6 --format json": "4d41292831247c2a3c2c2c6e8e4fc941996ee22ff8cb64d3fb7585e3ccf52a7e",
+    "catalan classic 6 --format csv": "e2abec2c2bdc5fc8468e789f7e4d82aa24ae6325fa51d3d9f1631fec0a5ce445",
+    "catalan ballot 5 --format text": "8ca867b17b2ecd3f87be51bf91276b5d52028a81b14ba6dca28af431450f553d",
+    "catalan ballot 5 --format json": "3b67e394845e82a33f83511f0892250ae915798f1a8e82c0da53a88b2ac59dec",
+    "catalan ballot 5 --format csv": "0a6477bd6b96d108d93a881dfee415359974c413cebf817f824e3e9a390a1d64",
+    "catalan general 3 5 --format text": "8a98eeadad8b3f7d939c0339b0bc2d89e737df6f47cbfdfd2b0377884360c026",
+    "catalan general 3 5 --format json": "066ca0ef731daeff865d497770db159b796df9f856b46d3f12ecc1b3db1d1440",
+    "catalan general 3 5 --format csv": "7ca3f850414bf789047aecea63513ca0eeb4b9cdcd928dc0116529f96e473e6a",
+    "catalan mixed 2,3 6 --format text": "ee6f1b28d97c5eb0b1f97803aeaf0999707bc487414bc89fa5f180bec3697959",
+    "catalan mixed 2,3 6 --format json": "0f6e3a6d64ad7dedf1e05359d48db449c2b548fa952fdda0cd6c8b18719ceb2e",
+    "catalan mixed 2,3 6 --format csv": "ea7015e7ccaf650cce11c7e41872c1e5a9f5d9af2b4ebf517cac3e22ba16744a",
+    "catalan convolution 2 10 --format text": "2d82abbdab985492a6c41581abe5dc30629019ccf69d1432b0adaafe8c988ec3",
+    "catalan convolution 2 10 --format json": "e464fd88baac019e5ddadc6861a34fa5398cbcfbe65a1d8026a311076f82bde2",
+    "catalan convolution 2 10 --format csv": "f2dce6eb36176564072852bab0312d2da501eef84aa550c4398840ee576fa57a",
+    "verify --order 4 --format text": "2feee3550f695d9126b7688ff5c259c628589606dc26b0a5ba31b3ff15d4e33a",
+    "verify --order 4 --format json": "b7032faa6da1a996abaaeca74366fb248526fbd05386402e38252b5c993a9aab",
+    "verify --order 4 --format csv": "b9d6fa1c7e81ce4fdad154b72ce7eaa994ae03e3e97849d2ad75d14fe1d5c2da",
+}
+
+
+def test_output_goldens(capsys, tmp_path):
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("order 3\n2 4\n")
+    changed = []
+    for argv in golden_commands():
+        key = " ".join(argv)
+        argv = [str(spec_path) if arg == SPEC else arg for arg in argv]
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", key
+        if output_digest(argv, out) != OUTPUT_GOLDENS[key]:
+            changed.append(key)
+    assert changed == []
+    assert len(OUTPUT_GOLDENS) == len(golden_commands())
