@@ -9,15 +9,16 @@ theorems live.
 """
 
 from iterforge import Universe, ballot_row, catalan, t_nk
-from iterforge.tableaux import line_intersection_formula, tableau_text
+from iterforge.render import tableau_text
+from iterforge.tableaux import line_intersection_formula
 
 universe = Universe(9)
 
 print("== substitution grid, order 4 ==")
-print(tableau_text(universe.tableau_a(4)))
+print(tableau_text(universe.tableau_a(4).rows))
 print()
 print("== extension grid, order 4 ==")
-print(tableau_text(universe.tableau_b(4)))
+print(tableau_text(universe.tableau_b(4).rows))
 
 print()
 print("== what the columns mean ==")

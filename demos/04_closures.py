@@ -17,7 +17,7 @@ from iterforge import (
     h_formula_b,
     singletons,
 )
-from iterforge.semantics import closure_text
+from iterforge.render import closure_text
 
 universe = Universe(9)
 

@@ -1,20 +1,20 @@
 """Command-line front end.
 
-Every subcommand is a thin adapter over the library: it parses arguments,
-calls the module function, and prints that function's own text/json/csv
-rendering.  Exit codes: 0 success, 1 verification failure, 2 usage error,
-3 domain error.
+Each subcommand parses its arguments, calls the library for its result and
+hands that result to `render`, the one module that turns results into
+text, JSON or CSV; `_emit` prints the string or writes it to `--out`.
+Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
-from . import semantics, verify
+from . import render, verify
 from .errors import EngineError
-from .incidence import incidence_matrix, matrix_csv
+from .incidence import incidence_matrix
 from .polynomials import (
     catalan_general,
     collision_groups,
@@ -24,7 +24,7 @@ from .polynomials import (
 )
 from .semantics import ClosureConfig, IdentitySpec, classify_identity, close
 from .tableaux import CatalogCache, Universe
-from .terms import ballot_row, catalan, parse_word, term_to_nested
+from .terms import ballot_row, catalan, parse_word
 
 
 class UsageError(Exception):
@@ -51,25 +51,13 @@ def _order_arg(parser, default=7, help="maximum order (cap 9)"):
 
 
 def _format_arg(parser):
-    parser.add_argument("--format", choices=["text", "json", "csv"], default="text")
+    parser.add_argument("--format", choices=render.FORMATS, default="text")
     parser.add_argument("--out", default=None, help="write output to a file")
 
 
 def cmd_enumerate(args) -> int:
     uni = _universe(args.order)
-    cat = uni.catalog(args.order)
-    if args.format == "json":
-        entries = [
-            {"label": i, "word": cat.word(i), "term": term_to_nested(cat.term(i))}
-            for i in range(1, len(cat) + 1)
-        ]
-        _emit(args, json.dumps({"order": args.order, "entries": entries}, indent=2))
-    elif args.format == "csv":
-        lines = ["label,word"] + [f"{i},{cat.word(i)}" for i in range(1, len(cat) + 1)]
-        _emit(args, "\n".join(lines))
-    else:
-        width = len(str(len(cat)))
-        _emit(args, "\n".join(f"{i:>{width}} {cat.word(i)}" for i in range(1, len(cat) + 1)))
+    _emit(args, render.catalog(uni.catalog(args.order), args.format))
     return 0
 
 
@@ -84,38 +72,13 @@ def _tableau_rows(uni, order, which):
 def cmd_tableau(args) -> int:
     uni = _universe(args.order)
     rows = _tableau_rows(uni, args.order, args.mode)
-    if args.format == "json":
-        _emit(args, json.dumps({"order": args.order, "mode": args.mode, "rows": [list(r) for r in rows]}))
-    elif args.format == "csv":
-        _emit(args, "\n".join(",".join(str(v) for v in row) for row in rows))
-    else:
-        _emit(args, "\n".join(" ".join(str(v) for v in row) for row in rows))
+    _emit(args, render.tableau(args.order, args.mode, rows, args.format))
     return 0
 
 
 def cmd_incidence(args) -> int:
-    if args.mode == "B":
-        raise EngineError("incidence modes are A and AB")
     uni = _universe(args.order)
-    matrix = incidence_matrix(uni, args.order, args.mode)
-    if args.format == "json":
-        record = {
-            "order": matrix.order,
-            "mode": matrix.mode,
-            "rows": [[matrix.entry(i, j) for j in range(1, matrix.size + 1)] for i in range(1, matrix.size + 1)],
-            "total": matrix.total(),
-            "total_unordered": matrix.total_unordered(),
-        }
-        _emit(args, json.dumps(record))
-    elif args.format == "csv":
-        _emit(args, matrix_csv(matrix))
-    else:
-        lines = [
-            " ".join(str(matrix.entry(i, j)) for j in range(1, matrix.size + 1))
-            for i in range(1, matrix.size + 1)
-        ]
-        lines.append(f"I_{matrix.order} = {matrix.total()}")
-        _emit(args, "\n".join(lines))
+    _emit(args, render.incidence(incidence_matrix(uni, args.order, args.mode), args.format))
     return 0
 
 
@@ -161,36 +124,14 @@ def cmd_closure(args) -> int:
     spec = read_spec_file(args.specfile)
     uni = _universe(args.order)
     state = close(spec, ClosureConfig(args.order, args.mode, args.unicity), uni)
-    if args.format == "json":
-        _emit(args, json.dumps(semantics.closure_record(state)))
-    elif args.format == "csv":
-        lines = ["order,classnumber,singletons"]
-        for m in range(spec.order, args.order + 1):
-            lines.append(f"{m},{state.classnumber(m)},{state.singleton_count(m)}")
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, semantics.closure_text(state))
+    _emit(args, render.closure(state, args.format))
     return 0
 
 
 def cmd_classify(args) -> int:
     uni = _universe(args.order)
-    verdict = classify_identity(uni, args.n, (args.i, args.j), args.order)
-    if args.format == "json":
-        record = {
-            "order": args.n,
-            "pair": [args.i, args.j],
-            "verdict": verdict.kind,
-            "bound": verdict.bound,
-            "witness": [list(step) for step in verdict.witness] if verdict.witness else None,
-        }
-        _emit(args, json.dumps(record))
-    else:
-        text = str(verdict)
-        if verdict.witness:
-            chain = " -> ".join(f"{i}~{j}@{m}" for m, i, j in verdict.witness)
-            text += f" via {chain}"
-        _emit(args, text)
+    pair = (args.i, args.j)
+    _emit(args, render.verdict(args.n, pair, classify_identity(uni, args.n, pair, args.order), args.format))
     return 0
 
 
@@ -202,35 +143,10 @@ def cmd_skein(args) -> int:
         uni = _universe(order)
         cat = uni.catalog(order)
         groups = collision_groups(uni, order)
-        if args.format == "json":
-            record = {
-                "order": order,
-                "polynomials": [
-                    {"label": i, "word": cat.word(i), "polynomial": str(skein(cat.term(i)))}
-                    for i in range(1, len(cat) + 1)
-                ],
-                "collisions": [sorted(labels) for labels in groups.values() if len(labels) > 1],
-            }
-            _emit(args, json.dumps(record))
-        else:
-            lines = [
-                f"{i} {cat.word(i)} {skein(cat.term(i))}" for i in range(1, len(cat) + 1)
-            ]
-            for labels in groups.values():
-                if len(labels) > 1:
-                    lines.append(f"collision: labels {' '.join(str(v) for v in labels)}")
-            _emit(args, "\n".join(lines))
+        polys = [skein(cat.term(i)) for i in range(1, len(cat) + 1)]
+        _emit(args, render.skein_table(cat, polys, groups, args.format))
     else:
-        poly = skein(parse_word(args.target))
-        if args.format == "json":
-            record = {
-                "word": args.target,
-                "polynomial": str(poly),
-                "coefficients": [[s, t, c] for (s, t), c in sorted(poly.coeffs.items(), reverse=True)],
-            }
-            _emit(args, json.dumps(record))
-        else:
-            _emit(args, str(poly))
+        _emit(args, render.skein_word(args.target, skein(parse_word(args.target)), args.format))
     return 0
 
 
@@ -252,74 +168,41 @@ def _count_param(value: str, usage: str) -> int:
 def cmd_catalan(args) -> int:
     variant = args.variant
     params = args.params
+    fmt = args.format
     if variant == "classic":
         top = _count_param(params[0], "usage: catalan classic N") if params else 10
-        values = [catalan(n) for n in range(top + 1)]
-        payload = {"variant": "classic", "values": values}
+        text = render.sequence("classic", [catalan(n) for n in range(top + 1)], fmt)
     elif variant == "ballot":
         top = _count_param(params[0], "usage: catalan ballot N") if params else 10
-        values = [list(ballot_row(n)) for n in range(1, top + 1)]
-        payload = {"variant": "ballot", "rows": values}
+        text = render.ballot_rows([list(ballot_row(n)) for n in range(1, top + 1)], fmt)
     elif variant == "general":
         if len(params) != 2:
             raise UsageError("usage: catalan general A N")
         arity = _int_param(params[0], "usage: catalan general A N")
         top = _count_param(params[1], "usage: catalan general A N")
-        values = [catalan_general(arity, n) for n in range(top + 1)]
-        payload = {"variant": "general", "arity": arity, "values": values}
+        text = render.sequence("general", [catalan_general(arity, n) for n in range(top + 1)], fmt, arity=arity)
     elif variant == "mixed":
         if len(params) != 2:
             raise UsageError("usage: catalan mixed A1,A2,... D")
         usage = "usage: catalan mixed A1,A2,... D"
         arities = [_int_param(v, usage) for v in params[0].split(",")]
         degree = _count_param(params[1], usage)
-        values = list(series_mixed(arities, degree).coeffs)
-        payload = {"variant": "mixed", "arities": arities, "values": values}
+        text = render.sequence("mixed", list(series_mixed(arities, degree).coeffs), fmt, arities=arities)
     elif variant == "convolution":
         if len(params) != 2:
             raise UsageError("usage: catalan convolution LAMBDA N")
         usage = "usage: catalan convolution LAMBDA N"
         report = convolution_relation_check(_int_param(params[0], usage), _int_param(params[1], usage))
-        payload = {
-            "variant": "convolution",
-            "lam": report.lam,
-            "n": report.n,
-            "value": report.convolution,
-            "relation1_coefficients": list(report.relation1.coefficients),
-            "relation2_ok": report.relation2_ok,
-            "relation3_ratio": str(report.relation3_ratio),
-            "relation3_limit": str(report.relation3_limit),
-        }
+        text = render.convolution(report, fmt)
     else:
         raise UsageError(f"unknown variant {variant!r}")
-    if args.format == "json":
-        _emit(args, json.dumps(payload))
-    elif args.format == "csv":
-        if variant == "ballot":
-            _emit(args, "\n".join(",".join(str(v) for v in row) for row in payload["rows"]))
-        elif "values" in payload:
-            _emit(args, "\n".join(f"{n},{v}" for n, v in enumerate(payload["values"])))
-        else:
-            _emit(args, "\n".join(f"{k},{v}" for k, v in payload.items()))
-    else:
-        if variant == "ballot":
-            _emit(args, "\n".join(" ".join(str(v) for v in row) for row in payload["rows"]))
-        elif "values" in payload:
-            _emit(args, " ".join(str(v) for v in payload["values"]))
-        else:
-            _emit(args, "\n".join(f"{k}: {v}" for k, v in payload.items()))
+    _emit(args, text)
     return 0
 
 
 def cmd_verify(args) -> int:
     report = verify.run_verify(max_order=args.order, universe=_universe(args.order))
-    if args.format == "json":
-        _emit(args, json.dumps(verify.report_record(report), indent=2))
-    elif args.format == "csv":
-        lines = ["id,status"] + [f"{c.id},{c.status}" for c in report.checks]
-        _emit(args, "\n".join(lines))
-    else:
-        _emit(args, verify.report_text(report))
+    _emit(args, render.verify_report(report, args.format))
     return 0 if report.ok else 1
 
 

@@ -124,18 +124,6 @@ def t_nk_aplusb(n: int, k: int) -> int:
     return t_nk(n, k) + 2 * (t_nk(n - 1, k - 1) - t_nk(n - 1, k))
 
 
-def aplusb_histogram(universe: Universe, n: int) -> dict[int, int]:
-    """Direct multiplicity histogram over the (n+2)-row combined grid."""
-    counts = [0] * (len(universe.catalog(n)) + 1)
-    for row in universe.grid_aplusb(n):
-        for label in row:
-            counts[label] += 1
-    hist: dict[int, int] = {}
-    for label in range(1, len(counts)):
-        hist[counts[label]] = hist.get(counts[label], 0) + 1
-    return hist
-
-
 @dataclass(frozen=True)
 class FrequencyRow:
     n: int
@@ -168,39 +156,3 @@ def frequency_report(n_max: int, universe: Universe | None = None) -> list[Frequ
         )
     return out
 
-
-# -- exports ---------------------------------------------------------------
-
-
-def matrix_csv(matrix: IncidenceMatrix) -> str:
-    """CSV rows of 0/1 entries plus an I_n footer line."""
-    lines = []
-    for i in range(1, matrix.size + 1):
-        lines.append(",".join(str(matrix.entry(i, j)) for j in range(1, matrix.size + 1)))
-    lines.append(f"I_{matrix.order},{matrix.total()}")
-    return "\n".join(lines)
-
-
-def matrix_rows_from_csv(text: str, order: int, mode: str = MODE_A) -> IncidenceMatrix:
-    rows = []
-    for line in text.splitlines():
-        if not line.strip() or line.startswith("I_"):
-            continue
-        bits = [int(v) for v in line.split(",")]
-        mask = 0
-        for j, bit in enumerate(bits):
-            if bit:
-                mask |= 1 << j
-        rows.append(mask)
-    return IncidenceMatrix(order, mode, tuple(rows))
-
-
-def frequency_csv(rows: list[FrequencyRow]) -> str:
-    lines = ["n,S_n,I_n_matrix,I_n_formula,ratio,one_minus_ratio,exp_minus_n_over_16"]
-    for r in rows:
-        matrix = "" if r.i_n_matrix is None else str(r.i_n_matrix)
-        lines.append(
-            f"{r.n},{r.s_n},{matrix},{r.i_n_formula},{float(r.ratio):.9f},"
-            f"{float(r.one_minus_ratio):.9f},{r.exp_comparison:.9f}"
-        )
-    return "\n".join(lines)

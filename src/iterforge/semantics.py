@@ -504,28 +504,6 @@ def compose_classes(
     return class_handle(state, out_order, next(iter(roots)))
 
 
-def evaluate_shape(
-    universe: Universe,
-    state: ClosureState,
-    shape: Term,
-    args: list[tuple[int, int]],
-) -> tuple[int, int]:
-    """Evaluate a term shape over the class algebra, feeding the argument
-    classes to the leaves left to right."""
-    feed = iter(args)
-
-    def walk(t: Term) -> tuple[int, int]:
-        if t.is_leaf:
-            return next(feed)
-        return compose_classes(universe, state, walk(t.left), walk(t.right), verify=False)
-
-    result = walk(shape)
-    leftover = next(feed, None)
-    if leftover is not None:
-        raise ValueError("more argument classes than leaves")
-    return result
-
-
 # -- bounds and surveys ------------------------------------------------------
 
 
@@ -646,7 +624,7 @@ def order4_formula_survey(universe: Universe, bound: int = DEFAULT_CLOSURE_ORDER
     return FormulaSurvey(bound, expected, sequences)
 
 
-# -- log replay and reports --------------------------------------------------
+# -- log replay --------------------------------------------------------------
 
 
 def replay(universe: Universe, state: ClosureState) -> bool:
@@ -697,44 +675,3 @@ def _merge_enabled(universe, fresh, spec, merge: Merge) -> bool:
         )
     return False
 
-
-def closure_record(state: ClosureState) -> dict:
-    """Machine-readable closure report."""
-    per_order = {}
-    for m in range(1, state.config.max_order + 1):
-        per_order[str(m)] = {
-            "h": state.classnumber(m),
-            "classes": state.classes(m),
-            "singletons": state.singleton_count(m),
-        }
-    return {
-        "spec": {"order": state.spec.order, "pairs": [list(p) for p in state.spec.pairs]},
-        "config": {
-            "max_order": state.config.max_order,
-            "mode": state.config.mode,
-            "unicity": state.config.unicity,
-        },
-        "per_order": per_order,
-        "derivations": [
-            {
-                "order": merge.order,
-                "merged": [merge.a, merge.b],
-                "rule": merge.rule,
-                "source": list(merge.source) if merge.source is not None else None,
-            }
-            for merge in state.log
-        ],
-    }
-
-
-def closure_text(state: ClosureState) -> str:
-    """Eyeball report: one line per order with its classes."""
-    lines = [
-        f"identity order {state.spec.order}, pairs "
-        + " ".join(f"({i},{j})" for i, j in state.spec.pairs)
-        + f", mode {state.config.mode}, unicity {'on' if state.config.unicity else 'off'}"
-    ]
-    for m in range(state.spec.order, state.config.max_order + 1):
-        classes = " ".join("{" + " ".join(str(x) for x in c) + "}" for c in state.classes(m))
-        lines.append(f"order {m}: h={state.classnumber(m)} singletons={state.singleton_count(m)} {classes}")
-    return "\n".join(lines)

@@ -284,22 +284,3 @@ def multiplicity_sum_identity(n: int, k: int) -> tuple[int, int]:
     rhs = comb(n - k + 1, k) * catalan(n - k)
     return lhs, rhs
 
-
-# -- exports ---------------------------------------------------------------
-
-
-def tableau_text(tab: TableauA | TableauB) -> str:
-    """Plain-text grid: one line per row, labels space-separated."""
-    return "\n".join(" ".join(str(v) for v in row) for row in tab.rows)
-
-
-def tableau_record(tab: TableauA | TableauB) -> dict:
-    return {"order": tab.order, "rows": [list(row) for row in tab.rows]}
-
-
-def tableau_rows_from_record(record: dict) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in row) for row in record["rows"])
-
-
-def tableau_rows_from_text(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in line.split()) for line in text.splitlines() if line.strip())

@@ -266,17 +266,3 @@ def all_terms(n: int) -> tuple[Term, ...]:
                 out.append(Term(left, right))
     return tuple(out)
 
-
-def term_to_nested(t: Term):
-    """Nested-array form used in machine-readable output: x or ["V", l, r]."""
-    if t.is_leaf:
-        return "x"
-    return ["V", term_to_nested(t.left), term_to_nested(t.right)]
-
-
-def term_from_nested(obj) -> Term:
-    if obj == "x":
-        return LEAF
-    if isinstance(obj, (list, tuple)) and len(obj) == 3 and obj[0] == "V":
-        return Term(term_from_nested(obj[1]), term_from_nested(obj[2]))
-    raise MalformedWord(f"not a nested term form: {obj!r}")

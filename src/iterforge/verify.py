@@ -11,12 +11,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from . import incidence, polynomials, semantics, tableaux, terms
 from .errors import MalformedWord
-from .incidence import MODE_A, MODE_AB
+from .incidence import MODE_A
 from .semantics import ClosureConfig, IdentitySpec
 from .tableaux import Universe
 
@@ -619,36 +618,3 @@ def run_verify(
         checks.append(result)
     return VerifyReport(max_order, closure_order, checks)
 
-
-def report_text(report: VerifyReport) -> str:
-    lines = [f"verification at order bound {report.max_order}, closure bound {report.closure_order}"]
-    for c in report.checks:
-        lines.append(f"[{c.status.upper():<6}] {c.id}: {c.description}")
-        lines.append(f"         expected: {c.expected}")
-        lines.append(f"         computed: {c.computed}")
-    passed = sum(1 for c in report.checks if c.status == PASS)
-    lines.append(
-        f"{passed} passed, {len(report.failed)} failed, "
-        f"{sum(1 for c in report.checks if c.status == REPORT)} report-only, "
-        f"{sum(1 for c in report.checks if c.status == SKIP)} skipped"
-    )
-    return "\n".join(lines)
-
-
-def report_record(report: VerifyReport) -> dict:
-    return {
-        "max_order": report.max_order,
-        "closure_order": report.closure_order,
-        "ok": report.ok,
-        "checks": [
-            {
-                "id": c.id,
-                "description": c.description,
-                "status": c.status,
-                "expected": c.expected,
-                "computed": c.computed,
-                "elapsed_ms": round(c.elapsed_ms, 3),
-            }
-            for c in report.checks
-        ],
-    }

@@ -7,9 +7,9 @@ import re
 import pytest
 
 from iterforge.cli import main, read_spec_file
-from iterforge.incidence import MODE_A, incidence_matrix, matrix_csv
-from iterforge.semantics import ClosureConfig, IdentitySpec, close, closure_text
-from iterforge.tableaux import tableau_text
+from iterforge.incidence import MODE_A, incidence_matrix
+from iterforge.render import closure_text, matrix_csv, tableau_text
+from iterforge.semantics import ClosureConfig, IdentitySpec, close
 
 
 @pytest.fixture(autouse=True)
@@ -45,7 +45,7 @@ def test_enumerate_order5_row_eleven(capsys):
 def test_tableau_matches_library_rendering(capsys, universe):
     code, out, _ = run_cli(capsys, "tableau", "--order", "4", "--mode", "A")
     assert code == 0
-    assert out.rstrip("\n") == tableau_text(universe.tableau_a(4))
+    assert out.rstrip("\n") == tableau_text(universe.tableau_a(4).rows)
 
 
 def test_tableau_single_cell(capsys):

@@ -1,5 +1,6 @@
 """Incidence matrices, the reducible-pair count, and its closed form."""
 
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -18,14 +19,9 @@ from iterforge import (
     parse_word,
     t_nk,
 )
-from iterforge.incidence import (
-    MODE_A,
-    MODE_AB,
-    aplusb_histogram,
-    frequency_csv,
-    matrix_csv,
-    matrix_rows_from_csv,
-)
+from iterforge.incidence import MODE_A, MODE_AB
+from iterforge.render import incidence as render_incidence
+from iterforge.render import matrix_csv
 from iterforge.terms import cherries
 
 # The 5x5 order-3 matrix, one row per label.
@@ -179,6 +175,18 @@ def test_formula_equals_brute_force(universe):
         assert i_n_formula(n) == count_reducible(universe, n, MODE_A)
 
 
+def aplusb_histogram(universe, n):
+    """Direct multiplicity histogram over the (n+2)-row combined grid."""
+    counts = [0] * (len(universe.catalog(n)) + 1)
+    for row in universe.grid_aplusb(n):
+        for label in row:
+            counts[label] += 1
+    hist = {}
+    for label in range(1, len(counts)):
+        hist[counts[label]] = hist.get(counts[label], 0) + 1
+    return hist
+
+
 def test_combined_multiplicity_closed_form(universe):
     assert [t_nk_aplusb(4, k) for k in (1, 2, 3)] == [0, 12, 2]
     assert aplusb_histogram(universe, 2) == {2: 2}
@@ -212,14 +220,29 @@ def test_catalan_ratio_limit():
         assert rel_error(120, k) < rel_error(60, k) < rel_error(30, k)
 
 
-def test_matrix_csv_round_trip(universe):
-    m = incidence_matrix(universe, 4, MODE_A)
-    text = matrix_csv(m)
-    assert text.splitlines()[-1] == "I_4,88"
-    assert matrix_rows_from_csv(text, 4, MODE_A) == m
+def entries(m, i):
+    return [m.entry(i, j) for j in range(1, m.size + 1)]
 
 
-def test_frequency_csv_header(universe):
-    text = frequency_csv(frequency_report(5, universe))
-    assert text.splitlines()[0] == "n,S_n,I_n_matrix,I_n_formula,ratio,one_minus_ratio,exp_minus_n_over_16"
-    assert len(text.splitlines()) == 4
+def test_matrix_csv_rows_match_entries(universe):
+    assert matrix_csv(incidence_matrix(universe, 4, MODE_A)).splitlines()[-1] == "I_4,88"
+    for n in range(1, 7):
+        for mode in (MODE_A, MODE_AB):
+            m = incidence_matrix(universe, n, mode)
+            lines = matrix_csv(m).splitlines()
+            assert lines[-1] == f"I_{n},{m.total()}"
+            assert len(lines) == m.size + 1
+            for i, line in enumerate(lines[:-1], start=1):
+                assert line == ",".join(str(v) for v in entries(m, i)), (n, mode, i)
+
+
+def test_incidence_text_and_json_rows_match_entries(universe):
+    for n in range(1, 7):
+        for mode in (MODE_A, MODE_AB):
+            m = incidence_matrix(universe, n, mode)
+            lines = render_incidence(m, "text").splitlines()
+            assert lines[-1] == f"I_{n} = {m.total()}"
+            assert lines[:-1] == [" ".join(str(v) for v in entries(m, i)) for i in range(1, m.size + 1)]
+            record = json.loads(render_incidence(m, "json"))
+            assert record["rows"] == [entries(m, i) for i in range(1, m.size + 1)]
+            assert (record["total"], record["total_unordered"]) == (m.total(), m.total_unordered())

@@ -39,14 +39,12 @@ from iterforge.semantics import (
     ClosureState,
     Verdict,
     class_handle,
-    closure_record,
-    closure_text,
-    evaluate_shape,
     find_witness_chain,
     order4_formula_survey,
     order4_sample_formula,
     replay,
 )
+from iterforge.render import closure_record, closure_text
 from iterforge.semantics import _saturate as worklist_saturate
 from iterforge.terms import LEAF, Term, substitute_cherry
 
@@ -400,6 +398,23 @@ def test_compose_classes_well_defined_exhaustively(universe):
             for hp in p_handles:
                 for hq in q_handles:
                     compose_classes(universe, state, hp, hq)  # raises if scattered
+
+
+def evaluate_shape(universe, state, shape, args):
+    """Evaluate a term shape over the class algebra, feeding the argument
+    classes to the leaves left to right."""
+    feed = iter(args)
+
+    def walk(t):
+        if t.is_leaf:
+            return next(feed)
+        return compose_classes(universe, state, walk(t.left), walk(t.right), verify=False)
+
+    result = walk(shape)
+    leftover = next(feed, None)
+    if leftover is not None:
+        raise ValueError("more argument classes than leaves")
+    return result
 
 
 def test_compose_classes_satisfies_defining_identity(universe):
