@@ -39,19 +39,22 @@ def _universe(order: int) -> Universe:
 
 
 def _emit(args, text: str) -> None:
-    if args.out:
+    if not args.out:
+        print(text)
+        return
+    try:
         with open(args.out, "w") as handle:
             handle.write(text + "\n")
-    else:
-        print(text)
+    except OSError as error:
+        raise EngineError(f"{args.out}: cannot write output: {error.strerror}") from None
 
 
 def _order_arg(parser, default=7, help="maximum order (cap 9)"):
     parser.add_argument("--order", type=int, default=default, help=help)
 
 
-def _format_arg(parser):
-    parser.add_argument("--format", choices=render.FORMATS, default="text")
+def _format_arg(parser, formats=render.FORMATS):
+    parser.add_argument("--format", choices=formats, default="text")
     parser.add_argument("--out", default=None, help="write output to a file")
 
 
@@ -244,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("i", type=int)
     p.add_argument("j", type=int)
     _order_arg(p, help="closure bound")
-    _format_arg(p)
+    _format_arg(p, ("text", "json"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("skein", help="skein polynomial of a word, or all of one order")
     p.add_argument("target", help="a prefix word, or an order")
-    _format_arg(p)
+    _format_arg(p, ("text", "json"))
     p.set_defaults(func=cmd_skein)
 
     p = sub.add_parser("catalan", help="counting sequences and relations")

@@ -25,6 +25,14 @@ def term_to_nested(t):
     return ["V", term_to_nested(t.left), term_to_nested(t.right)]
 
 
+def _csv_field(value) -> str:
+    """One CSV field, quoted when it holds a comma or a quote (RFC 4180)."""
+    text = str(value)
+    if "," in text or '"' in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 # -- catalogs and tableaux ---------------------------------------------------
 
 
@@ -232,7 +240,7 @@ def convolution(report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(record)
     if fmt == "csv":
-        return "\n".join(f"{k},{v}" for k, v in record.items())
+        return "\n".join(f"{k},{_csv_field(v)}" for k, v in record.items())
     return "\n".join(f"{k}: {v}" for k, v in record.items())
 
 

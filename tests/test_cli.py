@@ -1,5 +1,6 @@
 """Command-line adapter: thin over the library, stable exit codes."""
 
+import csv
 import hashlib
 import json
 import re
@@ -161,6 +162,33 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "skein", "12")
     assert code == 2
+
+
+def test_unwritable_output_path_is_domain_error(capsys, tmp_path):
+    target = tmp_path / "missing-dir" / "x"
+    code, out, err = run_cli(capsys, "enumerate", "--order", "3", "--out", str(target))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines() == [f"iterforge: {target}: cannot write output: No such file or directory"]
+    assert not target.exists()
+
+
+def test_commands_reject_formats_they_do_not_render(capsys):
+    for argv in (["skein", "VVxxx"], ["skein", "4"], ["classify", "3", "1", "4"]):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--format", "csv"])
+        assert exit_info.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid choice: 'csv'" in captured.err
+
+
+def test_convolution_csv_quotes_the_coefficient_list(capsys):
+    code, out, _ = run_cli(capsys, "catalan", "convolution", "2", "10", "--format", "csv")
+    assert code == 0
+    lines = out.splitlines()
+    assert len(lines) == 8
+    assert 'relation1_coefficients,"[1, 1]"' in lines
+    assert all(len(next(csv.reader([line]))) == 2 for line in lines)
 
 
 def test_verify_small_bound(capsys):
@@ -355,7 +383,7 @@ OUTPUT_GOLDENS = {
     "catalan mixed 2,3 6 --format csv": "ea7015e7ccaf650cce11c7e41872c1e5a9f5d9af2b4ebf517cac3e22ba16744a",
     "catalan convolution 2 10 --format text": "2d82abbdab985492a6c41581abe5dc30629019ccf69d1432b0adaafe8c988ec3",
     "catalan convolution 2 10 --format json": "e464fd88baac019e5ddadc6861a34fa5398cbcfbe65a1d8026a311076f82bde2",
-    "catalan convolution 2 10 --format csv": "f2dce6eb36176564072852bab0312d2da501eef84aa550c4398840ee576fa57a",
+    "catalan convolution 2 10 --format csv": "c817e2171e438907bbb515eef77e1b87d579c4c6cec229f6f5732f9302b817a5",
     "verify --order 4 --format text": "2feee3550f695d9126b7688ff5c259c628589606dc26b0a5ba31b3ff15d4e33a",
     "verify --order 4 --format json": "b7032faa6da1a996abaaeca74366fb248526fbd05386402e38252b5c993a9aab",
     "verify --order 4 --format csv": "b9d6fa1c7e81ce4fdad154b72ce7eaa994ae03e3e97849d2ad75d14fe1d5c2da",
