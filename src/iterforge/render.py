@@ -69,10 +69,10 @@ def tableau(order: int, mode: str, rows, fmt: str) -> str:
 # -- incidence ---------------------------------------------------------------
 
 
-def _bit_rows(matrix) -> list[str]:
+def _bit_rows(matrix):
     """Row i as the string of entries (i, 1), (i, 2), ...: its mask, reversed."""
     width = f"0{matrix.size}b"
-    return [format(mask, width)[::-1] for mask in matrix.rows]
+    return (format(mask, width)[::-1] for mask in matrix.rows)
 
 
 def matrix_csv(matrix) -> str:
