@@ -4,7 +4,7 @@ This is the only module that turns engine objects into output.  Each
 function takes results that are already computed (a catalog, label rows,
 an incidence matrix, a closure state, a verdict, polynomials, a sequence,
 a verify report) and returns one command's whole output as a string
-without the final newline; none of them builds or computes anything.
+without the final newline; none of them calls the engine's computations.
 Incidence rows render from their bit masks: one 0/1 string per row feeds
 the text, CSV and JSON forms alike.
 """
