@@ -168,37 +168,39 @@ def _count_param(value: str, usage: str) -> int:
     return number
 
 
+# per variant: the parameters, and the cap on the size (the last one) that keeps output under about 1 s
+CATALAN_PARAMS = {
+    "classic": ("N", 2000),
+    "ballot": ("N", 350),
+    "general": ("A N", 2000),
+    "mixed": ("A1,A2,... D", 100),
+    "convolution": ("LAMBDA N", 150),
+}
+
+
 def cmd_catalan(args) -> int:
-    variant = args.variant
-    params = args.params
-    fmt = args.format
+    variant, fmt = args.variant, args.format
+    shape, cap = CATALAN_PARAMS[variant]
+    names = shape.split()
+    usage = f"usage: catalan {variant} {shape} ({names[-1]} <= {cap})"
+    params = args.params or (["10"] if len(names) == 1 else [])
+    if len(params) != len(names):
+        raise UsageError(usage)
+    top = _count_param(params[-1], usage)
+    if top > cap:
+        raise UsageError(usage)
     if variant == "classic":
-        top = _count_param(params[0], "usage: catalan classic N") if params else 10
         text = render.sequence("classic", [catalan(n) for n in range(top + 1)], fmt)
     elif variant == "ballot":
-        top = _count_param(params[0], "usage: catalan ballot N") if params else 10
         text = render.ballot_rows([list(ballot_row(n)) for n in range(1, top + 1)], fmt)
     elif variant == "general":
-        if len(params) != 2:
-            raise UsageError("usage: catalan general A N")
-        arity = _int_param(params[0], "usage: catalan general A N")
-        top = _count_param(params[1], "usage: catalan general A N")
+        arity = _int_param(params[0], usage)
         text = render.sequence("general", [catalan_general(arity, n) for n in range(top + 1)], fmt, arity=arity)
     elif variant == "mixed":
-        if len(params) != 2:
-            raise UsageError("usage: catalan mixed A1,A2,... D")
-        usage = "usage: catalan mixed A1,A2,... D"
         arities = [_int_param(v, usage) for v in params[0].split(",")]
-        degree = _count_param(params[1], usage)
-        text = render.sequence("mixed", list(series_mixed(arities, degree).coeffs), fmt, arities=arities)
-    elif variant == "convolution":
-        if len(params) != 2:
-            raise UsageError("usage: catalan convolution LAMBDA N")
-        usage = "usage: catalan convolution LAMBDA N"
-        report = convolution_relation_check(_int_param(params[0], usage), _int_param(params[1], usage))
-        text = render.convolution(report, fmt)
+        text = render.sequence("mixed", list(series_mixed(arities, top).coeffs), fmt, arities=arities)
     else:
-        raise UsageError(f"unknown variant {variant!r}")
+        text = render.convolution(convolution_relation_check(_int_param(params[0], usage), top), fmt)
     _emit(args, text)
     return 0
 

@@ -28,10 +28,11 @@ from .errors import (
     CompositionNotWellDefined,
     InvalidSpec,
     OrderOverflow,
+    UnknownLabel,
 )
 from .incidence import MODE_AB, delta_oracle
 from .tableaux import Universe
-from .terms import Term, ballot, catalan
+from .terms import ballot, catalan
 
 MODE_A = "A"
 MODE_B = "B"
@@ -332,7 +333,7 @@ def formal_cascade(universe: Universe, order: int, i: int, j: int) -> tuple[tupl
     All visited pairs are distinct by construction.
     """
     cat = universe.catalog(order)
-    cat.term(i), cat.term(j)  # label range check
+    cat.check_label(i), cat.check_label(j)
     chain = [(order, i, j)]
     while order > 0:
         decomp = universe.decompositions(order)
@@ -489,13 +490,15 @@ def compose_classes(
         raise OrderOverflow(
             f"composition order {out_order} exceeds closure bound {state.config.max_order}"
         )
-    cat_p, cat_q, cat_out = universe.catalog(p), universe.catalog(q), universe.catalog(out_order)
+    labels = universe.catalog(out_order).index  # V(a, b) is the key (p, a, b)
     members_p = state.class_members(p, rep_p) if verify else [rep_p]
     members_q = state.class_members(q, rep_q) if verify else [rep_q]
     roots = set()
     for a in members_p:
         for b in members_q:
-            label = cat_out.label_of(Term(cat_p.term(a), cat_q.term(b)))
+            label = labels.get((p, a, b))
+            if label is None:
+                raise UnknownLabel(f"no term V(({p},{a}), ({q},{b})) of order {out_order}")
             roots.add(state.find(out_order, label))
     if len(roots) != 1:
         raise CompositionNotWellDefined(

@@ -1,53 +1,86 @@
 """Canonical labeling of terms per order and the two substitution tableaux.
 
-Level n is built from level n-1: writing the (n-1)-catalog in label order,
-row k of the substitution grid holds the result of planting Vxx at leaf
-position k of every column term.  Scanning the grid row-major and handing
-out fresh labels at first sight yields the order-n catalog; that grid of
-labels is tableau A_n.  Tableau B_n labels the two root extensions
-V(J, x) and V(x, J) of every (n-1)-term J with the same catalog.
+Level n is built from level n-1 by label arithmetic alone.  Row k of the
+substitution grid A_n plants Vxx at leaf k of every (n-1)-term V(L, R) in
+label order, where L has order lo: the result is V(A_{lo+1}[k][L], R) when
+k <= lo+1, else V(L, A_{ro+1}[k-lo-1][R]), read off grids of lower orders.
+Keyed by (left order, left label, right label), the results get labels
+1..S_n at first sight in a row-major scan.  Tableau B_n holds the root
+extensions V(J, x) and V(x, J): the keys (n-1, J, 1) and (0, 1, J).
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from pathlib import Path
 
 from .errors import UnknownLabel
-from .terms import LEAF, Term, catalan, parse_word, render_word, substitute_cherry
+from .terms import LEAF, Term, catalan, render_word
 
 DEFAULT_MAX_ORDER = 9
 CONSTRUCTION_VERSION = 1
 
 
 class Catalog:
-    """All terms of one order, listed by label 1..S_n."""
+    """All terms of one order, listed by label 1..S_n.
 
-    __slots__ = ("order", "terms", "index")
+    The build stores each label's key and decomposition.  `terms` and
+    `words` are a view, decoded from the lower catalogs once, on first use.
+    """
 
-    def __init__(self, order: int, terms: list[Term]):
+    def __init__(self, order: int, index: dict[tuple[int, int, int], int], lower: tuple[Catalog, ...]):
         self.order = order
-        self.terms = tuple(terms)
-        self.index = {t: i + 1 for i, t in enumerate(self.terms)}
+        self.index = index  # in label order: first sightings hand out the labels
+        self.decompositions = tuple((lo, la, order - 1 - lo, rb) for lo, la, rb in index)
+        self._lower = lower
 
     def __len__(self) -> int:
-        return len(self.terms)
+        return len(self.index) if self.order else 1
+
+    def check_label(self, label: int) -> None:
+        if not 1 <= label <= len(self):
+            raise UnknownLabel(f"label {label} not in catalog of order {self.order}")
+
+    def _decode(self, view: str, leaf, join) -> tuple:
+        if self.order == 0:
+            return (leaf,)
+        parts = [getattr(cat, view) for cat in self._lower]
+        return tuple(join(parts[lo][la - 1], parts[ro][rb - 1]) for lo, la, ro, rb in self.decompositions)
+
+    @cached_property
+    def terms(self) -> tuple[Term, ...]:
+        return self._decode("terms", LEAF, Term)
+
+    @cached_property
+    def words(self) -> tuple[str, ...]:
+        return self._decode("words", "x", lambda left, right: "V" + left + right)
+
+    @cached_property
+    def flank_uses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
+        sides = [[[[] for _ in range(len(cat))] for cat in self._lower] for _ in range(2)]
+        for label, (lo, la, ro, rb) in enumerate(self.decompositions, start=1):
+            sides[0][lo][la - 1].append(label)
+            sides[1][ro][rb - 1].append(label)
+        return tuple(tuple(tuple(tuple(users) for users in by_label) for by_label in side) for side in sides)
 
     def term(self, label: int) -> Term:
-        if not 1 <= label <= len(self.terms):
-            raise UnknownLabel(f"label {label} not in catalog of order {self.order}")
+        self.check_label(label)
         return self.terms[label - 1]
 
     def word(self, label: int) -> str:
-        return render_word(self.term(label))
+        self.check_label(label)
+        return self.words[label - 1]
 
     def label_of(self, t: Term) -> int:
-        label = self.index.get(t)
-        if label is None:
+        if t.order != self.order:
             raise UnknownLabel(f"term {render_word(t)!r} not of order {self.order}")
-        return label
+        if t.is_leaf:
+            return 1
+        lower = self._lower
+        return self.index[(t.left.order, lower[t.left.order].label_of(t.left), lower[t.right.order].label_of(t.right))]
 
 
 @dataclass(frozen=True)
@@ -63,34 +96,24 @@ class TableauB:
 
 
 class CatalogCache:
-    """Disk cache of catalogs, keyed by order and construction version."""
+    """Write-only disk mirror of catalogs: a level's words, in label order,
+    are written when its file is absent, and nothing reads them back."""
 
     def __init__(self, root: str | Path | None = None):
         if root is None:
-            root = os.environ.get("ITERFORGE_CACHE")
-        if root is None:
-            root = Path.home() / ".cache" / "iterforge"
+            root = os.environ.get("ITERFORGE_CACHE") or Path.home() / ".cache" / "iterforge"
         self.root = Path(root)
 
     def _path(self, order: int) -> Path:
         return self.root / f"catalog-v{CONSTRUCTION_VERSION}-{order:02d}.txt"
 
-    def load(self, order: int) -> list[str] | None:
-        path = self._path(order)
-        if not path.is_file():
-            return None
-        lines = path.read_text().splitlines()
-        if not lines or lines[0] != f"{CONSTRUCTION_VERSION} {order} {len(lines) - 1}":
-            return None
-        words = lines[1:]
-        if len(words) != catalan(order):
-            return None
-        return words
-
-    def store(self, order: int, words: list[str]) -> None:
+    def store(self, catalog: Catalog) -> None:
+        path = self._path(catalog.order)
+        if path.exists():
+            return
         self.root.mkdir(parents=True, exist_ok=True)
-        header = f"{CONSTRUCTION_VERSION} {order} {len(words)}"
-        self._path(order).write_text("\n".join([header, *words]) + "\n")
+        header = f"{CONSTRUCTION_VERSION} {catalog.order} {len(catalog)}"
+        path.write_text("\n".join([header, *catalog.words]) + "\n")
 
 
 class Universe:
@@ -105,11 +128,9 @@ class Universe:
             raise ValueError("max_order must be nonnegative")
         self.max_order = max_order
         self.cache = cache
-        self._catalogs: list[Catalog] = [Catalog(0, [LEAF])]
+        self._catalogs: list[Catalog] = [Catalog(0, {}, ())]
         self._tableaux_a: list[TableauA | None] = [None]
         self._tableaux_b: list[TableauB | None] = [None]
-        self._decompositions: list[tuple[tuple[int, int, int, int], ...] | None] = [None]
-        self._flank_uses: list[tuple[tuple[tuple[tuple[int, ...], ...], ...], ...] | None] = [None]
 
     def ensure(self, order: int) -> None:
         if order > self.max_order:
@@ -118,41 +139,28 @@ class Universe:
             self._build_next_level()
 
     def _build_next_level(self) -> None:
-        prev = self._catalogs[-1]
-        n = prev.order + 1
-        cached = self.cache.load(n) if self.cache is not None else None
-        if cached is not None:
-            catalog = Catalog(n, [parse_word(w) for w in cached])
-            rows = []
-            for k in range(1, n + 1):
-                rows.append(tuple(catalog.label_of(substitute_cherry(t, k)) for t in prev.terms))
-            tab_a = TableauA(n, tuple(rows))
-        else:
-            terms: list[Term] = []
-            index: dict[Term, int] = {}
-            rows = []
-            for k in range(1, n + 1):
-                row = []
-                for t in prev.terms:
-                    u = substitute_cherry(t, k)
-                    label = index.get(u)
-                    if label is None:
-                        terms.append(u)
-                        label = len(terms)
-                        index[u] = label
-                    row.append(label)
-                rows.append(tuple(row))
-            catalog = Catalog(n, terms)
-            tab_a = TableauA(n, tuple(rows))
-            if self.cache is not None:
-                self.cache.store(n, [render_word(t) for t in terms])
-        row_left = tuple(catalog.label_of(Term(t, LEAF)) for t in prev.terms)
-        row_right = tuple(catalog.label_of(Term(LEAF, t)) for t in prev.terms)
-        self._catalogs.append(catalog)
-        self._tableaux_a.append(tab_a)
-        self._tableaux_b.append(TableauB(n, (row_left, row_right)))
-        self._decompositions.append(None)
-        self._flank_uses.append(None)
+        n = len(self._catalogs)
+        grids = [tab.rows if tab else () for tab in self._tableaux_a]
+        index: dict[tuple[int, int, int], int] = {}
+        rows = []
+        for k in range(1, n + 1):
+            row = []
+            for lo, la, ro, rb in self._catalogs[-1].decompositions:
+                if k <= lo + 1:
+                    key = (lo + 1, grids[lo + 1][k - 1][la - 1], rb)
+                else:
+                    key = (lo, la, grids[ro + 1][k - lo - 2][rb - 1])
+                row.append(index.setdefault(key, len(index) + 1))
+            rows.append(tuple(row))
+        if n == 1:  # the leaf does not decompose; Vxx planted at its one leaf is V(x, x)
+            index, rows = {(0, 1, 1): 1}, [(1,)]
+        columns = range(1, len(self._catalogs[-1]) + 1)
+        rows_b = (tuple(index[(n - 1, j, 1)] for j in columns), tuple(index[(0, 1, j)] for j in columns))
+        self._catalogs.append(Catalog(n, index, tuple(self._catalogs)))
+        self._tableaux_a.append(TableauA(n, tuple(rows)))
+        self._tableaux_b.append(TableauB(n, rows_b))
+        if self.cache is not None:
+            self.cache.store(self._catalogs[n])
 
     def build(self, order: int) -> tuple[Catalog, TableauA]:
         """Catalog and substitution grid of one order, constructing as needed."""
@@ -182,36 +190,21 @@ class Universe:
         """Per label 1..S_n: (left order, left label, right order, right label)."""
         if order < 1:
             raise ValueError("the leaf does not decompose")
-        self.ensure(order)
-        if self._decompositions[order] is None:
-            cat = self._catalogs[order]
-            out = []
-            for t in cat.terms:
-                lo, ro = t.left.order, t.right.order
-                out.append((lo, self.catalog(lo).label_of(t.left), ro, self.catalog(ro).label_of(t.right)))
-            self._decompositions[order] = tuple(out)
-        return self._decompositions[order]
+        return self.catalog(order).decompositions
 
     def flank_uses(self, order: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
         """Inverse of decompositions(order), one part per side: part[k][x-1]
         holds the labels of this order whose left (part 0) or right (part 1)
         flank is label x of order k."""
-        decomp = self.decompositions(order)
-        if self._flank_uses[order] is None:
-            sides = [[[[] for _ in self._catalogs[k].terms] for k in range(order)] for _ in range(2)]
-            for label, (lo, la, ro, rb) in enumerate(decomp, start=1):
-                sides[0][lo][la - 1].append(label)
-                sides[1][ro][rb - 1].append(label)
-            self._flank_uses[order] = tuple(
-                tuple(tuple(tuple(users) for users in by_label) for by_label in side) for side in sides
-            )
-        return self._flank_uses[order]
+        if order < 1:
+            raise ValueError("the leaf does not decompose")
+        return self.catalog(order).flank_uses
 
     # -- counting ----------------------------------------------------------
 
     def multiplicity(self, order: int, label: int) -> int:
         """Number of occurrences of a label in tableau A_n."""
-        self.catalog(order).term(label)  # label range check
+        self.catalog(order).check_label(label)
         return sum(row.count(label) for row in self.tableau_a(order).rows)
 
     def multiplicity_histogram(self, order: int) -> dict[int, int]:

@@ -207,6 +207,47 @@ def test_negative_sequence_length_is_usage_error(capsys):
         assert out == "" and f"usage: catalan {variant} N" in err
 
 
+@pytest.mark.parametrize(
+    "params, cap",
+    [
+        (["classic"], 2000),
+        (["ballot"], 350),
+        (["general", "3"], 2000),
+        (["mixed", "2,3"], 100),
+        (["convolution", "2"], 150),
+    ],
+)
+def test_sequence_size_above_cap_is_usage_error(capsys, params, cap):
+    code, out, _ = run_cli(capsys, "catalan", *params, str(cap), "--format", "csv")
+    assert code == 0 and out
+    for size in (cap + 1, 10**8):
+        code, out, err = run_cli(capsys, "catalan", *params, str(size))
+        assert code == 2
+        assert out == "" and err.startswith(f"iterforge: usage: catalan {params[0]} ") and f"<= {cap})" in err
+
+
+def test_corrupt_cache_file_changes_no_output(capsys, tmp_path, monkeypatch):
+    spec_path = tmp_path / "spec.txt"
+    spec_path.write_text("order 3\n2 4\n")
+    commands = [["tableau", "--order", "5"], ["closure", str(spec_path), "--order", "5"], ["verify", "--order", "5"]]
+    expected = []
+    for number, argv in enumerate(commands):
+        monkeypatch.setenv("ITERFORGE_CACHE", str(tmp_path / f"empty-{number}"))
+        expected.append(run_cli(capsys, *argv))
+    assert [code for code, _, _ in expected] == [0, 0, 0]
+    path = tmp_path / "empty-0" / "catalog-v1-05.txt"
+    header, *words = path.read_text().splitlines()
+    corruptions = {
+        "swapped": [words[1], words[0], *words[2:]],
+        "duplicated": [words[0], words[0], *words[2:]],
+        "malformed": ["VxV", *words[1:]],
+    }
+    monkeypatch.setenv("ITERFORGE_CACHE", str(tmp_path / "empty-0"))
+    for name, corrupt in corruptions.items():
+        path.write_text("\n".join([header, *corrupt]) + "\n")
+        assert [run_cli(capsys, *argv) for argv in commands] == expected, name
+
+
 def test_missing_spec_file_is_domain_error(capsys, tmp_path):
     missing = tmp_path / "nonexistent.spec"
     code, out, err = run_cli(capsys, "closure", str(missing))

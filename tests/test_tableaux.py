@@ -5,12 +5,16 @@ from itertools import combinations
 import pytest
 
 from iterforge import (
+    LEAF,
     CatalogCache,
+    Term,
     UnknownLabel,
     Universe,
     all_terms,
     ballot_row,
     catalan,
+    parse_word,
+    substitute_cherry,
     t_nk,
 )
 from iterforge.render import tableau_text
@@ -177,15 +181,23 @@ def test_fresh_label_counts_match_ballot_rows(universe):
 
 def test_catalog_cache_round_trip(tmp_path):
     cache = CatalogCache(tmp_path)
-    first = Universe(5, cache=cache)
-    first.ensure(5)
-    assert cache.load(5) is not None
-    second = Universe(5, cache=CatalogCache(tmp_path))
-    for n in range(6):
-        assert second.catalog(n).terms == first.catalog(n).terms
-        if n >= 1:
-            assert second.tableau_a(n) == first.tableau_a(n)
-            assert second.tableau_b(n) == first.tableau_b(n)
+    universe = Universe(5, cache=cache)
+    universe.ensure(5)
+    for n in range(1, 6):
+        cat = universe.catalog(n)
+        header, *words = (tmp_path / f"catalog-v1-{n:02d}.txt").read_text().splitlines()
+        assert header == f"1 {n} {catalan(n)}"
+        assert words == [cat.word(label) for label in range(1, len(cat) + 1)]
+        assert tuple(parse_word(word) for word in words) == cat.terms
+
+
+def test_catalog_cache_is_never_read(tmp_path):
+    path = tmp_path / "catalog-v1-04.txt"
+    path.write_text("1 4 14\n" + "VxVxVxVxx\n" * 14)
+    universe = Universe(4, cache=CatalogCache(tmp_path))
+    assert universe.tableau_a(4).rows == A_GOLD[4]
+    assert universe.catalog(4).word(14) == "VxVxVxVxx"
+    assert path.read_text() == "1 4 14\n" + "VxVxVxVxx\n" * 14  # an existing file is left as it is
 
 
 def test_cache_env_override(tmp_path, monkeypatch):
@@ -197,3 +209,72 @@ def test_cache_env_override(tmp_path, monkeypatch):
 def test_tableau_text_golden(universe):
     tab = universe.tableau_a(4)
     assert tableau_text(tab.rows) == "1 2 3 4 5\n6 7 8 9 10\n3 4 11 12 13\n2 5 7 10 14"
+
+
+def term_oracle(max_order):
+    """The construction from Term trees, independent of the label arithmetic.
+
+    Plant Vxx at every leaf of every term of the previous order, hand out
+    labels at first sight, and index the terms structurally.  Returns the
+    terms per order and, per order n >= 1, the rows of A_n, the rows of B_n
+    and the decomposition of every label.
+    """
+    catalogs = [[LEAF]]
+    indexes = [{LEAF: 1}]
+    levels = {}
+    for n in range(1, max_order + 1):
+        prev = catalogs[-1]
+        terms: list[Term] = []
+        index: dict[Term, int] = {}
+        rows = []
+        for k in range(1, n + 1):
+            row = []
+            for t in prev:
+                u = substitute_cherry(t, k)
+                label = index.get(u)
+                if label is None:
+                    terms.append(u)
+                    label = len(terms)
+                    index[u] = label
+                row.append(label)
+            rows.append(tuple(row))
+        row_left = tuple(index[Term(t, LEAF)] for t in prev)
+        row_right = tuple(index[Term(LEAF, t)] for t in prev)
+        decompositions = tuple(
+            (t.left.order, indexes[t.left.order][t.left], t.right.order, indexes[t.right.order][t.right])
+            for t in terms
+        )
+        catalogs.append(terms)
+        indexes.append(index)
+        levels[n] = (tuple(rows), (row_left, row_right), decompositions)
+    return catalogs, levels
+
+
+def test_label_arithmetic_matches_term_oracle():
+    universe = Universe(10)
+    catalogs, levels = term_oracle(10)
+    for n, (rows_a, rows_b, decompositions) in levels.items():
+        assert universe.tableau_a(n).rows == rows_a, n
+        assert universe.tableau_b(n).rows == rows_b, n
+        assert universe.decompositions(n) == decompositions, n
+    for n in range(8):
+        assert universe.catalog(n).terms == tuple(catalogs[n]), n
+
+
+def test_build_creates_no_terms(monkeypatch):
+    made = []
+    init = Term.__init__
+
+    def counting_init(self, *children):
+        made.append(children)
+        init(self, *children)
+
+    monkeypatch.setattr(Term, "__init__", counting_init)
+    universe = Universe(9)
+    for n in range(1, 10):
+        universe.grid_aplusb(n)
+        universe.decompositions(n)
+        universe.flank_uses(n)
+    assert made == []
+    universe.catalog(2).term(1)  # the view decodes on demand
+    assert len(made) == catalan(1) + catalan(2)
