@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import render, verify
@@ -32,6 +33,7 @@ class UsageError(Exception):
 
 
 MAX_ORDER_CAP = 9
+MAX_WORD_ORDER = 400  # parse_word and skein recurse once per V
 
 
 def _universe(order: int) -> Universe:
@@ -40,7 +42,14 @@ def _universe(order: int) -> Universe:
 
 def _emit(args, text: str) -> None:
     if not args.out:
-        print(text)
+        try:
+            print(text, flush=True)
+        except BrokenPipeError:
+            # the reader left early: send what is still buffered nowhere, so
+            # that the interpreter's final flush stays quiet
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         return
     try:
         with open(args.out, "w") as handle:
@@ -148,59 +157,72 @@ def cmd_skein(args) -> int:
         groups = collision_groups(uni, order)
         polys = [skein(cat.term(i)) for i in range(1, len(cat) + 1)]
         _emit(args, render.skein_table(cat, polys, groups, args.format))
+    elif args.target.count("V") > MAX_WORD_ORDER:
+        raise UsageError(f"usage: skein WORD (order of WORD <= {MAX_WORD_ORDER})")
     else:
         _emit(args, render.skein_word(args.target, skein(parse_word(args.target)), args.format))
     return 0
 
 
-def _int_param(value: str, usage: str) -> int:
+def _int_param(value: str, usage: str, cap: int) -> int:
+    """An integer parameter; one above the cap is a usage error."""
     try:
-        return int(value)
+        number = int(value)
     except ValueError:
         raise UsageError(usage) from None
-
-
-def _count_param(value: str, usage: str) -> int:
-    """A nonnegative integer parameter, such as the top index of a sequence."""
-    number = _int_param(value, usage)
-    if number < 0:
+    if number > cap:
         raise UsageError(usage)
     return number
 
 
-# per variant: the parameters, and the cap on the size (the last one) that keeps output under about 1 s
+# per variant: the parameters, the cap on the first one where it is an arity
+# or lambda, and the cap on the size (the last one); the caps keep the command
+# at about 1 s
 CATALAN_PARAMS = {
-    "classic": ("N", 2000),
-    "ballot": ("N", 350),
-    "general": ("A N", 2000),
-    "mixed": ("A1,A2,... D", 100),
-    "convolution": ("LAMBDA N", 150),
+    "classic": ("N", None, 2000),
+    "ballot": ("N", None, 350),
+    "general": ("A N", 20, 2000),
+    "mixed": ("A1,A2,... D", 4, 100),
+    "convolution": ("LAMBDA N", 6, 150),
 }
+MAX_MIXED_ARITIES = 3
+
+
+def _catalan_usage(variant: str) -> str:
+    shape, first_cap, cap = CATALAN_PARAMS[variant]
+    names = shape.split()
+    limits = [f"{names[-1]} <= {cap}"]
+    if variant == "mixed":
+        limits.insert(0, f"at most {MAX_MIXED_ARITIES} arities, each <= {first_cap}")
+    elif first_cap is not None:
+        limits.insert(0, f"{names[0]} <= {first_cap}")
+    return f"usage: catalan {variant} {shape} ({', '.join(limits)})"
 
 
 def cmd_catalan(args) -> int:
     variant, fmt = args.variant, args.format
-    shape, cap = CATALAN_PARAMS[variant]
-    names = shape.split()
-    usage = f"usage: catalan {variant} {shape} ({names[-1]} <= {cap})"
-    params = args.params or (["10"] if len(names) == 1 else [])
-    if len(params) != len(names):
+    shape, first_cap, cap = CATALAN_PARAMS[variant]
+    usage = _catalan_usage(variant)
+    params = args.params or (["10"] if shape == "N" else [])
+    if len(params) != len(shape.split()):
         raise UsageError(usage)
-    top = _count_param(params[-1], usage)
-    if top > cap:
+    top = _int_param(params[-1], usage, cap)
+    if top < 0:
         raise UsageError(usage)
     if variant == "classic":
         text = render.sequence("classic", [catalan(n) for n in range(top + 1)], fmt)
     elif variant == "ballot":
         text = render.ballot_rows([list(ballot_row(n)) for n in range(1, top + 1)], fmt)
     elif variant == "general":
-        arity = _int_param(params[0], usage)
+        arity = _int_param(params[0], usage, first_cap)
         text = render.sequence("general", [catalan_general(arity, n) for n in range(top + 1)], fmt, arity=arity)
     elif variant == "mixed":
-        arities = [_int_param(v, usage) for v in params[0].split(",")]
+        arities = [_int_param(v, usage, first_cap) for v in params[0].split(",")]
+        if len(arities) > MAX_MIXED_ARITIES:
+            raise UsageError(usage)
         text = render.sequence("mixed", list(series_mixed(arities, top).coeffs), fmt, arities=arities)
     else:
-        text = render.convolution(convolution_relation_check(_int_param(params[0], usage), top), fmt)
+        text = render.convolution(convolution_relation_check(_int_param(params[0], usage, first_cap), top), fmt)
     _emit(args, text)
     return 0
 

@@ -13,10 +13,12 @@ effective union is appended to a derivation log, and the log is the
 queue: a cursor walks it, and each entry (m, a, b) unions the order-(m+1)
 cells in columns a and b of every tableau line.  Cancellation keeps, per
 order, a signature table keyed by (class, side, flank order, flank class);
-two labels that land on one key have their other flanks merged.  A merge
-re-keys only the members of the smaller class and the labels above that
-use them as a flank.  The log stays replayable: every entry names the rule
-and the already-merged pair it came from.
+two labels that land on one key have their other flanks merged.  The one
+partition type, `DisjointSet`, keeps member lists; both the live partitions
+and the tables' copy as of the cursor use it, and a merge re-keys only the
+labels it moved and the labels above that use them as a flank.  The engine
+reads integer labels only and builds no `Term`.  The log stays replayable:
+every entry names the rule and the already-merged pair it came from.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import (
     OrderOverflow,
     UnknownLabel,
 )
-from .incidence import MODE_AB, delta_oracle
+from .incidence import MODE_AB, incidence_matrix
 from .tableaux import Universe
 from .terms import ballot, catalan
 
@@ -79,48 +81,51 @@ class Merge:
 
 
 class DisjointSet:
-    """Union-find over labels 1..n with path halving and union by size."""
+    """Partition of labels 1..n: owner[x] is the class id of x (a member),
+    members[id] lists each class of more than one.  A merge moves the smaller
+    class into the larger (Hopcroft and Ullman, SIAM J. Comput. 2(4), 1973)."""
 
-    __slots__ = ("parent", "size", "count")
+    __slots__ = ("owner", "members", "count")
 
     def __init__(self, n: int):
-        self.parent = list(range(n + 1))
-        self.size = [1] * (n + 1)
+        self.owner = list(range(n + 1))
+        self.members: dict[int, list[int]] = {}
         self.count = n
 
     def find(self, x: int) -> int:
-        parent = self.parent
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+        return self.owner[x]
+
+    def merge(self, a: int, b: int) -> list[int] | None:
+        """Merge the classes of a and b; return the labels whose class id
+        changed, or None when a and b were already in one class."""
+        owner, members = self.owner, self.members
+        ca, cb = owner[a], owner[b]
+        if ca == cb:
+            return None
+        kept, moved = members.pop(ca, [ca]), members.pop(cb, [cb])
+        if len(kept) < len(moved):
+            ca, kept, moved = cb, moved, kept
+        for x in moved:
+            owner[x] = ca
+        kept.extend(moved)
+        members[ca] = kept
+        self.count -= 1
+        return moved
 
     def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        self.count -= 1
-        return True
+        return self.merge(a, b) is not None
 
     def same(self, a: int, b: int) -> bool:
-        return self.find(a) == self.find(b)
+        return self.owner[a] == self.owner[b]
 
     def classes(self) -> list[list[int]]:
-        groups: dict[int, list[int]] = {}
-        for x in range(1, len(self.parent)):
-            groups.setdefault(self.find(x), []).append(x)
-        return sorted(groups.values(), key=lambda members: members[0])
+        owner, members = self.owner, self.members
+        groups = [sorted(members.get(c, (c,))) for c in range(1, len(owner)) if owner[c] == c]
+        groups.sort()  # by least member: no two classes share one
+        return groups
 
     def singleton_count(self) -> int:
-        return sum(
-            1
-            for x in range(1, len(self.parent))
-            if self.parent[x] == x and self.size[x] == 1
-        )
+        return self.count - len(self.members)
 
 
 class ClosureState:
@@ -143,8 +148,10 @@ class ClosureState:
         return self.partitions[order].classes()
 
     def class_members(self, order: int, label: int) -> list[int]:
-        root = self.find(order, label)
-        return [x for x in range(1, len(self.partitions[order].parent)) if self.find(order, x) == root]
+        """The members of label's class, in the order the merges added them."""
+        part = self.partitions[order]
+        c = part.owner[label]
+        return list(part.members.get(c, (c,)))
 
     def classnumber(self, order: int) -> int:
         return self.partitions[order].count
@@ -243,40 +250,31 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
 class _SignatureTables:
     """Cancellation bookkeeping for one saturation.
 
-    It keeps its own copy of the partitions as of the log cursor: per
-    order, a class id for every label and the member lists of non-singleton
-    classes.  Each member of a non-singleton class sits in its order's
-    table under a left key (class, 0, left order, left class) and a right
-    key (class, 1, right order, right class).  A label arriving on a key
-    already held by another merges the two labels' other flanks.
+    It keeps its own copy of the partitions as of the log cursor, one
+    `DisjointSet` per order.  Each member of a non-singleton class sits in
+    its order's table under a left key (class, 0, left order, left class)
+    and a right key (class, 1, right order, right class).  A label arriving
+    on a key already held by another merges the two labels' other flanks.
     """
 
     def __init__(self, state: ClosureState, universe: Universe):
         bound = state.config.max_order
         self.decomp = [()] + [universe.decompositions(m) for m in range(1, bound + 1)]
         self.uses = [()] + [universe.flank_uses(m) for m in range(1, bound + 1)]
-        self.owner = [list(range(len(p.parent))) for p in state.partitions]
-        self.members: list[dict[int, list[int]]] = [{} for _ in state.partitions]
+        self.parts = [DisjointSet(len(p.owner) - 1) for p in state.partitions]
         self.tables: list[dict[tuple[int, int, int, int], int]] = [{} for _ in state.partitions]
 
     def merged(self, state: ClosureState, k: int, a: int, b: int) -> None:
         """Record the merge of a's and b's classes at order k, re-key every
         label whose key changed, and cancel on each collision."""
-        owner, members = self.owner[k], self.members[k]
-        ca, cb = owner[a], owner[b]
-        kept, moved = members.pop(ca, [ca]), members.pop(cb, [cb])
-        if len(kept) < len(moved):
-            ca, kept, moved = cb, moved, kept
-        rekeyed = kept + moved if len(kept) == 1 else moved  # a singleton had no keys
-        for x in moved:
-            owner[x] = ca
-        kept.extend(moved)
-        members[ca] = kept
-        for x in rekeyed:
+        part = self.parts[k]
+        moved = part.merge(a, b)
+        merged = part.members[part.owner[a]]
+        for x in merged if len(merged) == 2 else moved:  # a singleton had no keys
             self._key(state, k, x, 0)
             self._key(state, k, x, 1)
-        for m in range(k + 1, len(self.owner)):
-            owner_m, members_m = self.owner[m], self.members[m]
+        for m in range(k + 1, len(self.parts)):
+            owner_m, members_m = self.parts[m].owner, self.parts[m].members
             for side, uses in enumerate(self.uses[m]):
                 for x in moved:
                     for z in uses[k][x - 1]:
@@ -291,8 +289,7 @@ class _SignatureTables:
             order, flank, other_order, other, rule = lo, la, ro, rb, "cancel-left"
         else:
             order, flank, other_order, other, rule = ro, rb, lo, la, "cancel-right"
-        owner = self.owner
-        y = self.tables[m].setdefault((owner[m][x], side, order, owner[order][flank]), x)
+        y = self.tables[m].setdefault((self.parts[m].owner[x], side, order, self.parts[order].owner[flank]), x)
         if y != x:
             other_y = self.decomp[m][y - 1][3 if side == 0 else 1]
             state._union(other_order, other_y, other, rule, (m, y, x))
@@ -390,8 +387,7 @@ def classify_identity(
     spec = IdentitySpec.of(n, pair)
     state = _seed(spec, ClosureConfig(bound, MODE_AB, unicity=True), universe)
     ((i, j),) = spec.pairs
-    cat = universe.catalog(n)
-    if delta_oracle(cat.term(i), cat.term(j), MODE_AB):
+    if incidence_matrix(universe, n, MODE_AB).entry(i, j):
         return Verdict(FORMALLY_REDUCIBLE, bound)
     # the identity collapses a lower order iff some merge lands below n
     if not _saturate(state, universe, below=n):
@@ -574,16 +570,14 @@ def column_pair_survey(
     column_verdicts = tuple(classify_identity(universe, n, pair, bound) for pair in columns)
     other_pairs = other_verdicts = None
     if include_others:
-        cat = universe.catalog(n)
+        reducible = incidence_matrix(universe, n, MODE_AB)
         column_set = set(columns)
-        others = []
-        for i in range(1, len(cat) + 1):
-            for j in range(i + 1, len(cat) + 1):
-                if (i, j) in column_set:
-                    continue
-                if delta_oracle(cat.term(i), cat.term(j), MODE_AB) == 0:
-                    others.append((i, j))
-        other_pairs = tuple(others)
+        other_pairs = tuple(
+            (i, j)
+            for i in range(1, reducible.size + 1)
+            for j in range(i + 1, reducible.size + 1)
+            if (i, j) not in column_set and not reducible.entry(i, j)
+        )
         other_verdicts = tuple(classify_identity(universe, n, pair, bound) for pair in other_pairs)
     return ColumnSurvey(n, bound, columns, column_verdicts, other_pairs, other_verdicts)
 

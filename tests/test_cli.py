@@ -3,14 +3,20 @@
 import csv
 import hashlib
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from iterforge.cli import main, read_spec_file
+from iterforge.cli import MAX_WORD_ORDER, _catalan_usage, main, read_spec_file
 from iterforge.incidence import MODE_A, incidence_matrix
 from iterforge.render import closure_text, matrix_csv, tableau_text
 from iterforge.semantics import ClosureConfig, IdentitySpec, close
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
@@ -224,6 +230,58 @@ def test_sequence_size_above_cap_is_usage_error(capsys, params, cap):
         code, out, err = run_cli(capsys, "catalan", *params, str(size))
         assert code == 2
         assert out == "" and err.startswith(f"iterforge: usage: catalan {params[0]} ") and f"<= {cap})" in err
+
+
+@pytest.mark.parametrize(
+    "params",
+    [
+        ["general", "21", "10"],
+        ["general", "1000000", "2000"],
+        ["mixed", "2,5", "10"],
+        ["mixed", "2,2,3,3", "10"],
+        ["convolution", "7", "10"],
+    ],
+)
+def test_arity_and_lambda_above_cap_are_usage_errors(capsys, params):
+    code, out, err = run_cli(capsys, "catalan", *params, "--format", "csv")
+    assert code == 2
+    assert out == "" and err == f"iterforge: {_catalan_usage(params[0])}\n"
+
+
+def test_catalan_usage_lines_name_the_caps():
+    assert _catalan_usage("general") == "usage: catalan general A N (A <= 20, N <= 2000)"
+    assert _catalan_usage("mixed") == "usage: catalan mixed A1,A2,... D (at most 3 arities, each <= 4, D <= 100)"
+    assert _catalan_usage("convolution") == "usage: catalan convolution LAMBDA N (LAMBDA <= 6, N <= 150)"
+
+
+def test_every_catalan_variant_renders_at_its_caps(capsys):
+    for params in (["classic", "2000"], ["ballot", "350"], ["general", "20", "2000"],
+                   ["mixed", "4,4,4", "100"], ["convolution", "6", "150"]):
+        for fmt in ("text", "json", "csv"):
+            code, out, err = run_cli(capsys, "catalan", *params, "--format", fmt)
+            assert code == 0 and out and err == "", (params, fmt)
+
+
+def test_skein_word_order_is_capped(capsys):
+    for word in ("V" * MAX_WORD_ORDER + "x" * (MAX_WORD_ORDER + 1), "Vx" * MAX_WORD_ORDER + "x"):
+        code, out, _ = run_cli(capsys, "skein", word, "--format", "json")
+        assert code == 0 and json.loads(out)["word"] == word
+    code, out, err = run_cli(capsys, "skein", "V" * (MAX_WORD_ORDER + 1) + "x" * (MAX_WORD_ORDER + 2))
+    assert code == 2
+    assert out == "" and err == f"iterforge: usage: skein WORD (order of WORD <= {MAX_WORD_ORDER})\n"
+
+
+def test_closed_stdout_ends_quietly(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC), ITERFORGE_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "iterforge.cli", "enumerate", "--order", "9"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().split() == [b"1", b"V" * 9 + b"x" * 10]
+    proc.stdout.close()  # about 100 kB are still to come, more than a pipe holds
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 0
+    assert "Traceback" not in err
 
 
 def test_corrupt_cache_file_changes_no_output(capsys, tmp_path, monkeypatch):

@@ -737,3 +737,58 @@ def test_closure_laws(universe, case):
     for m in range(bound + 1):
         for members in state.classes(m):
             assert len({wider.find(m, x) for x in members}) == 1, (m, members)
+
+
+# -- the partition type ------------------------------------------------------
+
+
+@st.composite
+def union_sequences(draw):
+    n = draw(st.integers(1, 24))
+    label = st.integers(1, n)
+    return n, draw(st.lists(st.tuples(label, label, st.booleans()), max_size=40))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(union_sequences())
+def test_disjoint_set_matches_naive_partition(case):
+    n, steps = case
+    state = ClosureState(IdentitySpec.of(1, (1, 2)), ClosureConfig(), [n])
+    part = state.partitions[0]
+    oracle = {x: {x} for x in range(1, n + 1)}
+    for a, b, via_merge in steps:
+        apart = oracle[a] is not oracle[b]
+        if via_merge:
+            before = list(part.owner)
+            moved = part.merge(a, b)
+            changed = [x for x in range(1, n + 1) if part.find(x) != before[x]]
+            assert (moved is None) == (not apart)
+            assert sorted(moved or []) == changed
+        else:
+            assert part.union(a, b) == apart
+        if apart:
+            joined = oracle[a] | oracle[b]
+            for x in joined:
+                oracle[x] = joined
+        for x in range(1, n + 1):
+            assert set(state.class_members(0, x)) == oracle[x]
+            assert all(part.same(x, y) == (y in oracle[x]) for y in range(1, n + 1))
+        groups = sorted({min(c): sorted(c) for c in oracle.values()}.items())
+        assert state.classes(0) == [c for _, c in groups]
+        assert part.count == state.classnumber(0) == len(groups)
+        assert state.singleton_count(0) == sum(len(c) == 1 for _, c in groups)
+
+
+def test_engine_builds_no_terms(monkeypatch):
+    made = []
+    init = Term.__init__
+
+    def counting_init(self, *children):
+        made.append(children)
+        init(self, *children)
+
+    monkeypatch.setattr(Term, "__init__", counting_init)
+    universe = Universe(9)
+    column_pair_survey(universe, 4, 7)
+    classify_identity(universe, 9, (1, catalan(9)), 9)
+    assert made == []
