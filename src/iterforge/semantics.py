@@ -269,8 +269,8 @@ class _SignatureTables:
         label whose key changed, and cancel on each collision."""
         part = self.parts[k]
         moved = part.merge(a, b)
-        merged = part.members[part.owner[a]]
-        for x in merged if len(merged) == 2 else moved:  # a singleton had no keys
+        joined = part.members[part.owner[a]]
+        for x in joined if len(joined) == 2 else moved:  # a singleton had no keys
             self._key(state, k, x, 0)
             self._key(state, k, x, 1)
         for m in range(k + 1, len(self.parts)):

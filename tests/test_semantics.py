@@ -772,7 +772,7 @@ def test_disjoint_set_matches_naive_partition(case):
                 oracle[x] = joined
         for x in range(1, n + 1):
             assert set(state.class_members(0, x)) == oracle[x]
-            assert all(part.same(x, y) == (y in oracle[x]) for y in range(1, n + 1))
+            assert all((part.find(x) == part.find(y)) == (y in oracle[x]) for y in range(1, n + 1))
         groups = sorted({min(c): sorted(c) for c in oracle.values()}.items())
         assert state.classes(0) == [c for _, c in groups]
         assert part.count == state.classnumber(0) == len(groups)
