@@ -3,6 +3,10 @@
 Each subcommand parses its arguments, calls the library for its result and
 hands that result to `render`, the one module that turns results into
 text, JSON or CSV; `_emit` prints the string or writes it to `--out`.
+A command imports only the engine modules it uses: `tableaux` and `terms`
+load with this module, and each command imports what it needs from
+`incidence`, `semantics`, `polynomials` or `verify` inside its function,
+so a cold process does not compile the modules its command never runs.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error.
 """
@@ -13,17 +17,8 @@ import argparse
 import os
 import sys
 
-from . import render, verify
+from . import render
 from .errors import EngineError
-from .incidence import incidence_matrix
-from .polynomials import (
-    catalan_general,
-    collision_groups,
-    convolution_relation_check,
-    series_mixed,
-    skein,
-)
-from .semantics import ClosureConfig, IdentitySpec, classify_identity, close
 from .tableaux import CatalogCache, Universe
 from .terms import ballot_row, catalan, parse_word
 
@@ -89,17 +84,22 @@ def cmd_tableau(args) -> int:
 
 
 def cmd_incidence(args) -> int:
+    from .incidence import incidence_matrix
+
     uni = _universe(args.order)
     _emit(args, render.incidence(incidence_matrix(uni, args.order, args.mode), args.format))
     return 0
 
 
-def read_spec_file(path: str) -> IdentitySpec:
+def read_spec_file(path: str):
     """Spec file: a line "order n", then one "i j" line per identity pair.
 
-    A file that cannot be read is a domain error.  A malformed file is a
-    usage error, and the message names the file and the line.
+    Returns an `IdentitySpec`.  A file that cannot be read is a domain
+    error.  A malformed file is a usage error, and the message names the
+    file and the line.
     """
+    from .semantics import IdentitySpec
+
     try:
         with open(path) as handle:
             lines = handle.read().splitlines()
@@ -133,6 +133,8 @@ def _spec_int(value: str, path: str, number: int) -> int:
 
 
 def cmd_closure(args) -> int:
+    from .semantics import ClosureConfig, close
+
     spec = read_spec_file(args.specfile)
     uni = _universe(args.order)
     state = close(spec, ClosureConfig(args.order, args.mode, args.unicity), uni)
@@ -141,6 +143,8 @@ def cmd_closure(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    from .semantics import classify_identity
+
     uni = _universe(args.order)
     pair = (args.i, args.j)
     _emit(args, render.verdict(args.n, pair, classify_identity(uni, args.n, pair, args.order), args.format))
@@ -148,6 +152,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_skein(args) -> int:
+    from .polynomials import collision_groups, skein
+
     if args.target.isdigit():
         order = int(args.target)
         if order > MAX_ORDER_CAP:
@@ -200,6 +206,8 @@ def _catalan_usage(variant: str) -> str:
 
 
 def cmd_catalan(args) -> int:
+    from .polynomials import catalan_general, convolution_relation_check, series_mixed
+
     variant, fmt = args.variant, args.format
     shape, first_cap, cap = CATALAN_PARAMS[variant]
     usage = _catalan_usage(variant)
@@ -228,7 +236,9 @@ def cmd_catalan(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    report = verify.run_verify(max_order=args.order, universe=_universe(args.order))
+    from .verify import run_verify
+
+    report = run_verify(max_order=args.order, universe=_universe(args.order))
     _emit(args, render.verify_report(report, args.format))
     return 0 if report.ok else 1
 

@@ -209,16 +209,24 @@ def series_mixed(arities, degree: int) -> PowerSeries:
     """Counting series for trees whose nodes draw arities from a multiset.
 
     Solves phi = 1 + t * sum(phi^a for a in arities) by fixpoint
-    iteration, which settles one further coefficient per round.
+    iteration, which settles one further coefficient per round.  Each round
+    builds phi^2, ..., phi^max(arities) once and adds each power as often
+    as its arity occurs.
     """
     _check_arities(arities)
-    arity_list = sorted(arities)
-    phi = PowerSeries.constant(1, degree)
+    weights = [0] * (max(arities) + 1)
+    for a in arities:
+        weights[a] += 1
+    one = PowerSeries.constant(1, degree)
+    phi = one
     for _ in range(degree + 1):
         total = PowerSeries.constant(0, degree)
-        for a in arity_list:
-            total = total + phi.power(a)
-        phi = PowerSeries.constant(1, degree) + total.shift(1)
+        power = phi
+        for weight in weights[2:]:
+            power = power * phi
+            for _ in range(weight):
+                total = total + power
+        phi = one + total.shift(1)
     return phi
 
 

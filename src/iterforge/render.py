@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import json
 
-from .verify import PASS, REPORT, SKIP
-
 FORMATS = ("text", "json", "csv")
 
 
@@ -253,11 +251,10 @@ def report_text(report) -> str:
         lines.append(f"[{c.status.upper():<6}] {c.id}: {c.description}")
         lines.append(f"         expected: {c.expected}")
         lines.append(f"         computed: {c.computed}")
-    passed = sum(1 for c in report.checks if c.status == PASS)
+    counts = report.counts
     lines.append(
-        f"{passed} passed, {len(report.failed)} failed, "
-        f"{sum(1 for c in report.checks if c.status == REPORT)} report-only, "
-        f"{sum(1 for c in report.checks if c.status == SKIP)} skipped"
+        f"{counts['pass']} passed, {counts['fail']} failed, "
+        f"{counts['report']} report-only, {counts['skip']} skipped"
     )
     return "\n".join(lines)
 

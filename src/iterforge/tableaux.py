@@ -131,6 +131,7 @@ class Universe:
         self._catalogs: list[Catalog] = [Catalog(0, {}, ())]
         self._tableaux_a: list[TableauA | None] = [None]
         self._tableaux_b: list[TableauB | None] = [None]
+        self._multiplicities: dict[int, tuple[int, ...]] = {}
 
     def ensure(self, order: int) -> None:
         if order > self.max_order:
@@ -202,20 +203,28 @@ class Universe:
 
     # -- counting ----------------------------------------------------------
 
+    def multiplicities(self, order: int) -> tuple[int, ...]:
+        """Entry i: the number of occurrences of label i in tableau A_n
+        (entry 0 is 0); counted in one pass, once per order."""
+        counts = self._multiplicities.get(order)
+        if counts is None:
+            tally = [0] * (len(self.catalog(order)) + 1)
+            for row in self.tableau_a(order).rows:
+                for label in row:
+                    tally[label] += 1
+            counts = self._multiplicities[order] = tuple(tally)
+        return counts
+
     def multiplicity(self, order: int, label: int) -> int:
         """Number of occurrences of a label in tableau A_n."""
         self.catalog(order).check_label(label)
-        return sum(row.count(label) for row in self.tableau_a(order).rows)
+        return self.multiplicities(order)[label]
 
     def multiplicity_histogram(self, order: int) -> dict[int, int]:
         """Map multiplicity k -> number of labels occurring k times in A_n."""
-        counts = [0] * (len(self.catalog(order)) + 1)
-        for row in self.tableau_a(order).rows:
-            for label in row:
-                counts[label] += 1
         hist: dict[int, int] = {}
-        for label in range(1, len(counts)):
-            hist[counts[label]] = hist.get(counts[label], 0) + 1
+        for count in self.multiplicities(order)[1:]:
+            hist[count] = hist.get(count, 0) + 1
         return hist
 
     def line_intersection_card(self, order: int, lines) -> int:

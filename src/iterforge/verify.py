@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from . import incidence, polynomials, semantics, tableaux, terms
 from .errors import MalformedWord
@@ -156,6 +156,14 @@ class VerifyReport:
     @property
     def ok(self) -> bool:
         return not self.failed
+
+    @property
+    def counts(self) -> dict[str, int]:
+        """Number of checks with each status; every status is a key."""
+        counts = dict.fromkeys((PASS, FAIL, REPORT, SKIP), 0)
+        for c in self.checks:
+            counts[c.status] += 1
+        return counts
 
 
 def _verdict(ok: bool) -> str:
@@ -455,9 +463,11 @@ def check_generalized_catalan(universe, max_order, closure_order) -> Check:
 
 def check_word_language(universe, max_order, closure_order) -> Check:
     ok = True
+    checked = 0
     for length in range(1, 14):
-        for bits in range(1 << length):
-            word = "".join("Vx"[(bits >> i) & 1] for i in range(length))
+        for letters in product("Vx", repeat=length):
+            word = "".join(letters)
+            checked += 1
             try:
                 terms.parse_word(word)
                 parses = True
@@ -465,6 +475,7 @@ def check_word_language(universe, max_order, closure_order) -> Check:
                 parses = False
             if terms.validate_word_diophantine(word) != parses:
                 ok = False
+    ok &= checked == 2**14 - 2
     code = terms.run_length_code(universe.catalog(5).word(11))
     ok &= code is not None and code.digits == "321113" and code.k == 3
     return Check(

@@ -126,6 +126,28 @@ def test_series_single_arity_matches_closed_form():
     assert catalan_general(3, 3) == 12
 
 
+def series_mixed_oracle(arities, degree: int) -> PowerSeries:
+    """The fixpoint loop that preceded the shared powers: phi.power(a)
+    recomputed for every arity in every round."""
+    phi = PowerSeries.constant(1, degree)
+    for _ in range(degree + 1):
+        total = PowerSeries.constant(0, degree)
+        for a in sorted(arities):
+            total = total + phi.power(a)
+        phi = PowerSeries.constant(1, degree) + total.shift(1)
+    return phi
+
+
+# the arities and degrees verify checks, and the cli's caps (at most three
+# arities of at most 4 each, degree 100)
+@pytest.mark.parametrize(
+    "arities, degree",
+    [([2], 12), ([3], 12), ([4], 12), ([2, 3], 7), ([2, 2], 8), ([4, 4, 4], 100), ([2, 3, 4], 100), ([4, 2], 30)],
+)
+def test_series_matches_power_per_arity_oracle(arities, degree):
+    assert series_mixed(arities, degree) == series_mixed_oracle(arities, degree)
+
+
 def test_series_rejects_bad_arity():
     with pytest.raises(BadArity):
         series_mixed([1], 4)

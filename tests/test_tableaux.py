@@ -278,3 +278,10 @@ def test_build_creates_no_terms(monkeypatch):
     assert made == []
     universe.catalog(2).term(1)  # the view decodes on demand
     assert len(made) == catalan(1) + catalan(2)
+
+
+def test_multiplicity_counts_every_label(universe):
+    for n in range(1, 9):
+        rows = universe.tableau_a(n).rows
+        for label in range(1, catalan(n) + 1):
+            assert universe.multiplicity(n, label) == sum(row.count(label) for row in rows), (n, label)
