@@ -85,3 +85,15 @@ def test_importing_the_cli_loads_no_engine_beyond_tableaux():
     probe = "import json, sys, iterforge.cli; print(json.dumps([m for m in sys.modules if m.startswith('iterforge')]))"
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
     assert set(json.loads(out)) == COLD
+
+
+def test_importing_the_package_loads_no_engine_module():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = (
+        "import json, sys, iterforge\n"
+        "before = [m for m in sys.modules if m.startswith('iterforge')]\n"
+        "assert iterforge.semantics.close is iterforge.close\n"
+        "print(json.dumps(before))"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == ["iterforge"]
