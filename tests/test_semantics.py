@@ -1,5 +1,6 @@
 """Closure engine, classnumbers, classification, and the class algebra."""
 
+import hashlib
 from collections import deque
 from itertools import combinations
 
@@ -652,6 +653,34 @@ def test_worklist_closure_matches_round_based_oracle(universe, mode, unicity):
         for m in range(bound + 1):
             assert state.classes(m) == expected.classes(m), (spec, config, m)
         assert replay(universe, state) is True, (spec, config)
+
+
+# sha256 over the per-spec log digests of every single-pair spec of the order
+# at bound 7, in label order; recorded with the engine that applied every
+# union, so a change that skips no-op unions must leave each entry as it was
+LOG_GOLDENS = {
+    (3, "A", False): "822b39154483272db590d03f4b524fb2887eafc4a4ee1e792fd047f7e7679f5d",
+    (4, "A", False): "d81e14081250bef614ae0fa3179737ff14f57ca8106cc6a13390ffb53696b40a",
+    (3, "B", False): "224b6fdace9aafa118f5fa9fac17ab753cf7ad5f9bdaafe453dcf4a5662871b5",
+    (4, "B", False): "39cfbfd658808af4dee60435df99556373502ab015371320c912d201729df89a",
+    (3, "AB", False): "76f6ea1a07416b5cc406248a0c36bf2bb1ccfb86f40292320b6fed58a59f567f",
+    (4, "AB", False): "3327c0af9c684c3bdf9aa5fb9ab8a1236dd32d0d038c5561c8bbdfc1ba8915d3",
+    (3, "AB", True): "a528647c339496a7c48863edffbbf0ee7bce983927c762b59898f3917941a073",
+    (4, "AB", True): "730b3717142680d1ebd27f215c1bf079f9ba44d294278d69ebc61098205072e2",
+}
+
+
+def log_digest(state) -> str:
+    entries = [(e.order, e.a, e.b, e.rule, e.source) for e in state.log]
+    return hashlib.sha256(repr(entries).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("mode,unicity", CLOSURE_MODES)
+@pytest.mark.parametrize("order", [3, 4])
+def test_closure_logs_match_goldens(universe, order, mode, unicity):
+    config = ClosureConfig(7, mode, unicity)
+    digests = [log_digest(close(spec, config, universe)) for spec in single_pair_specs(order)]
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == LOG_GOLDENS[(order, mode, unicity)]
 
 
 def test_flank_merge_rekeys_the_labels_above(universe):
