@@ -25,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 from .errors import (
     CompositionNotWellDefined,
@@ -65,12 +66,13 @@ class ClosureConfig:
     unicity: bool = False
 
 
-@dataclass(frozen=True)
-class Merge:
+class Merge(NamedTuple):
     """One effective union in the derivation log.
 
     rule is one of "identity", "tableau-A", "tableau-B", "cancel-left",
     "cancel-right"; source names the pair (and tableau line) it came from.
+    A named tuple: the log holds one per effective union, and a tuple is
+    built in a fraction of a frozen dataclass's time.
     """
 
     order: int
@@ -222,28 +224,34 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
             lines[m] += [("tableau-A", k, row) for k, row in enumerate(universe.tableau_a(m).rows, 1)]
         if config.mode in (MODE_B, MODE_AB):
             lines[m] += [("tableau-B", k, row) for k, row in enumerate(universe.tableau_b(m).rows, 1)]
-    log = state.log
+    log, partitions = state.log, state.partitions
     tables = None
     if config.unicity:
         tables = _SignatureTables(state, universe)
         end = len(log)
         for merge in log[: state.cursor]:  # a resumed closure's tables catch up first
             tables.merged(state, merge.order, merge.a, merge.b)
-        if any(log[i].order < below for i in range(end, len(log))):
-            return True
+        for i in range(end, len(log)):
+            if log[i].order < below:
+                return True
     while state.cursor < len(log):
-        merge = log[state.cursor]
+        m, a, b, _, _ = log[state.cursor]
         state.cursor += 1
-        m, a, b = merge.order, merge.a, merge.b
         if m < bound:
+            part = partitions[m + 1]
+            owner = part.owner
             for rule, line, row in lines[m + 1]:
-                state._union(m + 1, row[a - 1], row[b - 1], rule, (m, a, b, line))
+                x, y = row[a - 1], row[b - 1]
+                if owner[x] != owner[y]:  # most cells already share a class: no call, no entry
+                    part.union(x, y)
+                    log.append(Merge(m + 1, x, y, rule, (m, a, b, line)))
         if tables is not None:
             end = len(log)
             tables.merged(state, m, a, b)
             # only cancellations merge downward, so this is where it happens first
-            if any(log[i].order < below for i in range(end, len(log))):
-                return True
+            for i in range(end, len(log)):
+                if log[i].order < below:
+                    return True
     return False
 
 
@@ -383,17 +391,26 @@ def classify_identity(
     universe: Universe, n: int, pair: tuple[int, int], bound: int = DEFAULT_CLOSURE_ORDER
 ) -> Verdict:
     """Sort one order-n identity into formally reducible, semantically
-    reducible (with a cancellation witness), or essential up to the bound."""
+    reducible, or essential up to the bound.  A semantically reducible
+    verdict carries its cancellation witness, found by `find_witness_chain`."""
     spec = IdentitySpec.of(n, pair)
+    kind = _verdict_kind(universe, spec, bound)
+    witness = find_witness_chain(universe, spec, bound) if kind == SEMANTICALLY_REDUCIBLE else None
+    return Verdict(kind, bound, witness)
+
+
+def _verdict_kind(universe: Universe, spec: IdentitySpec, bound: int) -> str:
+    """The kind of a one-pair spec's verdict, without a witness: formal
+    reducibility from the incidence matrix, else a cancellation closure that
+    stops at its first merge below the defining order."""
     state = _seed(spec, ClosureConfig(bound, MODE_AB, unicity=True), universe)
     ((i, j),) = spec.pairs
-    if incidence_matrix(universe, n, MODE_AB).entry(i, j):
-        return Verdict(FORMALLY_REDUCIBLE, bound)
+    if incidence_matrix(universe, spec.order, MODE_AB).entry(i, j):
+        return FORMALLY_REDUCIBLE
     # the identity collapses a lower order iff some merge lands below n
-    if not _saturate(state, universe, below=n):
-        return Verdict(ESSENTIAL_UP_TO, bound)
-    witness = find_witness_chain(universe, spec, bound)
-    return Verdict(SEMANTICALLY_REDUCIBLE, bound, witness)
+    if _saturate(state, universe, below=spec.order):
+        return SEMANTICALLY_REDUCIBLE
+    return ESSENTIAL_UP_TO
 
 
 def find_witness_chain(
@@ -560,14 +577,21 @@ def column_pair_survey(
     include_others: bool = True,
 ) -> ColumnSurvey:
     """Classify the column pairs V(J,x) = V(x,J) of the order-n root-extension
-    tableau, and optionally every other formally irreducible order-n identity."""
+    tableau, and optionally every other formally irreducible order-n identity.
+
+    The verdicts are kinds only: each has witness None.  A survey reads no
+    witness, and finding one costs a second closure; `classify_identity`
+    gives the witness of one pair on demand."""
     if n < 3:
         raise ValueError("survey starts at order 3")
     tb = universe.tableau_b(n)
     columns = tuple(
         (min(a, b), max(a, b)) for a, b in zip(tb.rows[0], tb.rows[1])
     )
-    column_verdicts = tuple(classify_identity(universe, n, pair, bound) for pair in columns)
+    def verdict(pair: tuple[int, int]) -> Verdict:
+        return Verdict(_verdict_kind(universe, IdentitySpec.of(n, pair), bound), bound)
+
+    column_verdicts = tuple(verdict(pair) for pair in columns)
     other_pairs = other_verdicts = None
     if include_others:
         reducible = incidence_matrix(universe, n, MODE_AB)
@@ -578,7 +602,7 @@ def column_pair_survey(
             for j in range(i + 1, reducible.size + 1)
             if (i, j) not in column_set and not reducible.entry(i, j)
         )
-        other_verdicts = tuple(classify_identity(universe, n, pair, bound) for pair in other_pairs)
+        other_verdicts = tuple(verdict(pair) for pair in other_pairs)
     return ColumnSurvey(n, bound, columns, column_verdicts, other_pairs, other_verdicts)
 
 
