@@ -3,16 +3,18 @@
 medians as a BENCH_*.json file.
 
     python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_6.json
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_19.json \
+        --workloads verify,cli,closure
 
 Each run is `python3 perfbench/run.py --workload W --seed S` in the root of
 one checkout, at the benchmark's own run length, so each side measures its
-own sources with its own benchmark code.  W is each gated workload (verify,
-cli) and S each of the seeds 11-20.  For every seed and workload both sides
-run back to back; odd seeds run the parent first and even seeds the change
-first.  The output holds,
-per workload and end-to-end metric, every run's value, the median and
-quartiles of each side, and the number of pairs the change won, with the
-seeds, the command, the Python version and the processor count.
+own sources with its own benchmark code.  W is each workload of
+--workloads (by default the gated ones, verify and cli) and S each of the
+seeds 11-20.  For every seed and workload both sides run back to back; odd
+seeds run the parent first and even seeds the change first.  The output
+holds, per workload and end-to-end metric, every run's value, the median
+and quartiles of each side, and the number of pairs the change won, with
+the seeds, the command, the Python version and the processor count.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from pathlib import Path
 from statistics import median, quantiles
 
 METRICS = ("latency_p50_ms", "peak_rss_mb", "setup_s")  # all lower-is-better
-WORKLOADS = ("verify", "cli")
+WORKLOADS = "verify,cli"
 SEEDS = tuple(range(11, 21))
 
 
@@ -50,13 +52,15 @@ def main(argv=None) -> int:
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--workloads", default=WORKLOADS, help=f"comma-separated (default {WORKLOADS})")
     args = parser.parse_args(argv)
+    workloads = args.workloads.split(",")
 
     sides = {"parent": args.parent, "change": args.change}
-    results = {w: {side: [] for side in sides} for w in WORKLOADS}
+    results = {w: {side: [] for side in sides} for w in workloads}
     for seed in SEEDS:
         order = ["parent", "change"] if seed % 2 else ["change", "parent"]
-        for workload in WORKLOADS:
+        for workload in workloads:
             for side in order:
                 result = run_once(sides[side], workload, seed)
                 results[workload][side].append(result)

@@ -206,7 +206,7 @@ def _catalan_usage(variant: str) -> str:
 
 
 def cmd_catalan(args) -> int:
-    from .polynomials import catalan_general, convolution_relation_check, series_mixed
+    from .polynomials import catalan_general_sequence, convolution_relation_check, series_mixed
 
     variant, fmt = args.variant, args.format
     shape, first_cap, cap = CATALAN_PARAMS[variant]
@@ -223,7 +223,7 @@ def cmd_catalan(args) -> int:
         text = render.ballot_rows([list(ballot_row(n)) for n in range(1, top + 1)], fmt)
     elif variant == "general":
         arity = _int_param(params[0], usage, first_cap)
-        text = render.sequence("general", [catalan_general(arity, n) for n in range(top + 1)], fmt, arity=arity)
+        text = render.sequence("general", catalan_general_sequence(arity, top), fmt, arity=arity)
     elif variant == "mixed":
         arities = [_int_param(v, usage, first_cap) for v in params[0].split(",")]
         if len(arities) > MAX_MIXED_ARITIES:

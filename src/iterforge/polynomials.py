@@ -240,6 +240,24 @@ def catalan_general(a: int, n: int) -> int:
     return comb(a * n, n) // ((a - 1) * n + 1)
 
 
+def catalan_general_sequence(a: int, top: int) -> list[int]:
+    """catalan_general(a, n) for n = 0..top, each term from the one before:
+    C(n+1) = C(n) * (an+1)...(an+a) / ((n+1) * ((a-1)n+2)...((a-1)n+a))."""
+    if not isinstance(a, int) or a < 2:
+        raise BadArity(f"arity {a!r} is not an integer >= 2")
+    if top < 0:
+        raise ValueError("top must be nonnegative")
+    terms = [1]
+    for n in range(top):
+        num = den = 1
+        for i in range(1, a + 1):
+            num *= a * n + i
+        for j in range(2, a + 1):
+            den *= (a - 1) * n + j
+        terms.append(terms[-1] * num // ((n + 1) * den))
+    return terms
+
+
 @lru_cache(maxsize=None)
 def count_trees_mixed(arities: tuple[int, ...], n: int) -> int:
     """Brute-force count of arity-multiset trees with n internal nodes."""

@@ -27,6 +27,7 @@ from iterforge import (
     weighted_recurrence,
 )
 from iterforge.polynomials import (
+    catalan_general_sequence,
     count_trees_mixed,
     enumerate_trees_mixed,
     op_symbol,
@@ -126,6 +127,15 @@ def test_series_single_arity_matches_closed_form():
     assert catalan_general(3, 3) == 12
 
 
+def test_catalan_general_sequence_matches_closed_form():
+    # every arity the cli accepts, and the cli's cap on N for the smallest and largest
+    for a in range(2, 21):
+        assert catalan_general_sequence(a, 300) == [catalan_general(a, n) for n in range(301)], a
+    for a in (2, 20):
+        assert catalan_general_sequence(a, 2000) == [catalan_general(a, n) for n in range(2001)], a
+    assert catalan_general_sequence(3, 0) == [1]
+
+
 def series_mixed_oracle(arities, degree: int) -> PowerSeries:
     """The fixpoint loop that preceded the shared powers: phi.power(a)
     recomputed for every arity in every round."""
@@ -153,6 +163,8 @@ def test_series_rejects_bad_arity():
         series_mixed([1], 4)
     with pytest.raises(BadArity):
         catalan_general(1, 4)
+    with pytest.raises(BadArity):
+        catalan_general_sequence(1, 4)
     with pytest.raises(BadArity):
         series_mixed([], 4)
 

@@ -1,8 +1,10 @@
 """Closure engine, classnumbers, classification, and the class algebra."""
 
 import hashlib
+import json
 from collections import deque
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -488,6 +490,29 @@ def test_column_pairs_order4(universe):
     assert survey.other_pairs is None
 
 
+@pytest.mark.parametrize("bound", [5, 6, 7])
+@pytest.mark.parametrize("n", [3, 4])
+def test_survey_verdicts_match_classify_without_witnesses(universe, n, bound):
+    survey = column_pair_survey(universe, n, bound)
+    pairs = survey.column_pairs + survey.other_pairs
+    verdicts = survey.column_verdicts + survey.other_verdicts
+    assert all(v.witness is None and v.bound == bound for v in verdicts)
+    for pair, verdict in zip(pairs, verdicts):
+        assert verdict.kind == classify_identity(universe, n, pair, bound).kind, pair
+
+
+def test_classify_witnesses_match_benchmark_reference(universe):
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.json"
+    reference = json.loads(path.read_text())["classify"]
+    assert reference
+    for key, expected in reference.items():
+        n, pair, bound = key.split("|")
+        i, j = map(int, pair.split("-"))
+        verdict = classify_identity(universe, int(n), (i, j), int(bound))
+        witness = [list(step) for step in verdict.witness] if verdict.witness else None
+        assert [verdict.kind, witness] == expected, key
+
+
 def test_order4_formula_survey(universe):
     survey = order4_formula_survey(universe, 7)
     assert survey.expected == (5, 13, 35, 96, 269)
@@ -766,6 +791,20 @@ def test_closure_laws(universe, case):
     for m in range(bound + 1):
         for members in state.classes(m):
             assert len({wider.find(m, x) for x in members}) == 1, (m, members)
+
+
+@settings(max_examples=50, deadline=None, database=None)
+@given(closure_cases())
+def test_closure_is_idempotent(universe, case):
+    # a closure's defining-order classes, taken as the defining identities,
+    # close to the same partitions: the first closure was a fixpoint
+    spec, _, config = case
+    state = close(spec, config, universe)
+    n = spec.order
+    pairs = [(members[0], x) for members in state.classes(n) for x in members[1:]]
+    again = close(IdentitySpec.of(n, *pairs), config, universe)
+    assert all(again.classes(m) == state.classes(m) for m in range(config.max_order + 1))
+    assert replay(universe, state) and replay(universe, again)
 
 
 # -- the partition type ------------------------------------------------------
