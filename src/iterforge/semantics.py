@@ -11,14 +11,22 @@ The closure is a worklist congruence closure (Downey, Sethi and Tarjan,
 J. ACM 27(4), 1980; Nelson and Oppen, J. ACM 27(2), 1980).  Every
 effective union is appended to a derivation log, and the log is the
 queue: a cursor walks it, and each entry (m, a, b) unions the order-(m+1)
-cells in columns a and b of every tableau line.  Cancellation keeps, per
-order, a signature table keyed by (class, side, flank order, flank class);
-two labels that land on one key have their other flanks merged.  The one
-partition type, `DisjointSet`, keeps member lists; both the live partitions
-and the tables' copy as of the cursor use it, and a merge re-keys only the
-labels it moved and the labels above that use them as a flank.  The engine
-reads integer labels only and builds no `Term`.  The log stays replayable:
-every entry names the rule and the already-merged pair it came from.
+cells in columns a and b of every tableau line.  Most such pairs already
+share a class; the loop compares their class ids and calls the partition
+only for the rest, so the log holds effective unions only, in the order
+they took effect.  Cancellation keeps, per order, a signature table keyed
+by (class, side, flank order, flank class); two labels that land on one
+key have their other flanks merged.  The one partition type,
+`DisjointSet`, keeps member lists; both the live partitions and the
+tables' copy as of the cursor use it, and a merge re-keys only the labels
+it moved and the labels above that use them as a flank.  The engine reads
+integer labels only and builds no `Term`.  The log stays replayable: every
+entry names the rule and the already-merged pair it came from.
+
+Classifying an identity needs only a verdict's kind: the cancellation
+closure stops at its first merge below the defining order.  A witness
+chain costs a second closure, so `classify_identity` finds it for a
+reducible identity, and `column_pair_survey` returns kinds only.
 """
 
 from __future__ import annotations
@@ -71,8 +79,8 @@ class Merge(NamedTuple):
 
     rule is one of "identity", "tableau-A", "tableau-B", "cancel-left",
     "cancel-right"; source names the pair (and tableau line) it came from.
-    A named tuple: the log holds one per effective union, and a tuple is
-    built in a fraction of a frozen dataclass's time.
+    A named tuple, since the log holds one per effective union and a tuple
+    is the cheapest immutable record to build.
     """
 
     order: int
@@ -407,7 +415,7 @@ def _verdict_kind(universe: Universe, spec: IdentitySpec, bound: int) -> str:
     ((i, j),) = spec.pairs
     if incidence_matrix(universe, spec.order, MODE_AB).entry(i, j):
         return FORMALLY_REDUCIBLE
-    # the identity collapses a lower order iff some merge lands below n
+    # the identity collapses a lower order iff some merge lands below its own
     if _saturate(state, universe, below=spec.order):
         return SEMANTICALLY_REDUCIBLE
     return ESSENTIAL_UP_TO
@@ -588,6 +596,7 @@ def column_pair_survey(
     columns = tuple(
         (min(a, b), max(a, b)) for a, b in zip(tb.rows[0], tb.rows[1])
     )
+
     def verdict(pair: tuple[int, int]) -> Verdict:
         return Verdict(_verdict_kind(universe, IdentitySpec.of(n, pair), bound), bound)
 

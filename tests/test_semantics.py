@@ -681,8 +681,8 @@ def test_worklist_closure_matches_round_based_oracle(universe, mode, unicity):
 
 
 # sha256 over the per-spec log digests of every single-pair spec of the order
-# at bound 7, in label order; recorded with the engine that applied every
-# union, so a change that skips no-op unions must leave each entry as it was
+# at bound 7, in label order: the log is the derivation record, so a faster
+# engine must leave each entry, and its place in the log, as it was
 LOG_GOLDENS = {
     (3, "A", False): "822b39154483272db590d03f4b524fb2887eafc4a4ee1e792fd047f7e7679f5d",
     (4, "A", False): "d81e14081250bef614ae0fa3179737ff14f57ca8106cc6a13390ffb53696b40a",
