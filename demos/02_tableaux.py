@@ -15,16 +15,16 @@ from iterforge.tableaux import line_intersection_formula
 universe = Universe(9)
 
 print("== substitution grid, order 4 ==")
-print(tableau_text(universe.tableau_a(4).rows))
+print(tableau_text(universe.tableau_a(4)))
 print()
 print("== extension grid, order 4 ==")
-print(tableau_text(universe.tableau_b(4).rows))
+print(tableau_text(universe.tableau_b(4)))
 
 print()
 print("== what the columns mean ==")
 cat3, cat4 = universe.catalog(3), universe.catalog(4)
 column = 2  # the term VVxxVxx
-for row_index, row in enumerate(universe.tableau_a(4).rows, start=1):
+for row_index, row in enumerate(universe.tableau_a(4), start=1):
     label = row[column - 1]
     print(f"  plant at leaf {row_index} of {cat3.word(column)}: label {label} = {cat4.word(label)}")
 

@@ -28,7 +28,7 @@ _EXPORTS = {
         "classnumbers", "close", "column_pair_survey", "compose_classes", "formal_cascade",
         "h_formula_a", "h_formula_b", "implication_pairs", "singletons", "unicity_bounds_check",
     ),
-    "tableaux": ("Catalog", "CatalogCache", "TableauA", "TableauB", "Universe", "t_nk"),
+    "tableaux": ("Catalog", "CatalogCache", "Universe", "t_nk"),
     "terms": (
         "LEAF", "Term", "all_terms", "ballot", "ballot_row", "catalan", "cherries", "decompose",
         "node", "parse_word", "render_word", "run_length_code", "substitute_cherry",

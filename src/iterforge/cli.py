@@ -20,7 +20,7 @@ import sys
 from . import render
 from .errors import EngineError
 from .tableaux import CatalogCache, Universe
-from .terms import ballot_row, catalan, parse_word
+from .terms import ballot_row, parse_word
 
 
 class UsageError(Exception):
@@ -70,9 +70,9 @@ def cmd_enumerate(args) -> int:
 
 def _tableau_rows(uni, order, which):
     if which == "A":
-        return uni.tableau_a(order).rows
+        return uni.tableau_a(order)
     if which == "B":
-        return uni.tableau_b(order).rows
+        return uni.tableau_b(order)
     return uni.grid_aplusb(order)
 
 
@@ -152,17 +152,15 @@ def cmd_classify(args) -> int:
 
 
 def cmd_skein(args) -> int:
-    from .polynomials import collision_groups, skein
+    from .polynomials import group_labels, skein, skein_levels
 
-    if args.target.isdigit():
+    if args.target.isascii() and args.target.isdigit():
         order = int(args.target)
         if order > MAX_ORDER_CAP:
             raise UsageError(f"order {order} above the cap {MAX_ORDER_CAP}")
         uni = _universe(order)
-        cat = uni.catalog(order)
-        groups = collision_groups(uni, order)
-        polys = [skein(cat.term(i)) for i in range(1, len(cat) + 1)]
-        _emit(args, render.skein_table(cat, polys, groups, args.format))
+        polys = skein_levels(uni, order)[order]
+        _emit(args, render.skein_table(uni.catalog(order), polys, group_labels(polys), args.format))
     elif args.target.count("V") > MAX_WORD_ORDER:
         raise UsageError(f"usage: skein WORD (order of WORD <= {MAX_WORD_ORDER})")
     else:
@@ -218,7 +216,7 @@ def cmd_catalan(args) -> int:
     if top < 0:
         raise UsageError(usage)
     if variant == "classic":
-        text = render.sequence("classic", [catalan(n) for n in range(top + 1)], fmt)
+        text = render.sequence("classic", catalan_general_sequence(2, top), fmt)
     elif variant == "ballot":
         text = render.ballot_rows([list(ballot_row(n)) for n in range(1, top + 1)], fmt)
     elif variant == "general":

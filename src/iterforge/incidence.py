@@ -80,9 +80,9 @@ def incidence_matrix(universe: Universe, n: int, mode: str = MODE_A) -> Incidenc
     _check_mode(mode)
     size = len(universe.catalog(n))
     rows = [0] * (size + 1)
-    lines = universe.tableau_a(n).rows
+    lines = universe.tableau_a(n)
     if mode == MODE_AB:
-        lines = lines + universe.tableau_b(n).rows
+        lines = lines + universe.tableau_b(n)
     for line in lines:
         mask = 0
         for label in line:

@@ -1,14 +1,18 @@
-"""Skein polynomials of terms, their collision statistics, and exact
-generating-series arithmetic for the Catalan generalizations.
+"""Skein polynomials of labels and terms, their collision statistics, and
+exact generating-series arithmetic for the Catalan generalizations.
 
 The skein polynomial tracks, per variable, how often it sits in first
 or second argument position along its path to the root: the variable
 contributes the monomial a^s b^t.  Building V(J, J') multiplies J's
 polynomial by a and J''s by b and adds, starting from 1 at the leaf.
+`skein_levels` follows that build-up over the universe's label
+decompositions, so an order listing decodes no term; `skein` and `skein_q`
+take one `Term`, for words beyond the universe and as oracles.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -33,11 +37,7 @@ class SkeinPoly:
         return self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
-        return hash(self.key())
-
-    def key(self) -> tuple[tuple[int, int, int], ...]:
-        """Canonical hashable form, exponents descending."""
-        return tuple((s, t, c) for (s, t), c in sorted(self.coeffs.items(), reverse=True))
+        return hash(frozenset(self.coeffs.items()))
 
     def __add__(self, other: SkeinPoly) -> SkeinPoly:
         out = dict(self.coeffs)
@@ -99,7 +99,6 @@ _ONE = SkeinPoly({(0, 0): 1})
 _ZERO = SkeinPoly()
 
 
-@lru_cache(maxsize=None)
 def skein(t: Term) -> SkeinPoly:
     """P(t): 1 at the leaf, a*P(left) + b*P(right) at a node."""
     if t.is_leaf:
@@ -107,7 +106,6 @@ def skein(t: Term) -> SkeinPoly:
     return skein(t.left).times_a() + skein(t.right).times_b()
 
 
-@lru_cache(maxsize=None)
 def skein_q(t: Term) -> SkeinPoly:
     """Q(t): 0 at the leaf, a*Q(left) + b*Q(right) + 1 at a node.
 
@@ -118,17 +116,32 @@ def skein_q(t: Term) -> SkeinPoly:
     return skein_q(t.left).times_a() + skein_q(t.right).times_b() + _ONE
 
 
+def skein_levels(universe: Universe, n: int) -> tuple[tuple[SkeinPoly, ...], ...]:
+    """Per order 0..n, the skein polynomial of every label, in label order."""
+    levels = [(_ONE,)]
+    for m in range(1, n + 1):
+        levels.append(tuple(
+            levels[lo][la - 1].times_a() + levels[ro][rb - 1].times_b()
+            for lo, la, ro, rb in universe.decompositions(m)
+        ))
+    return tuple(levels)
+
+
+def group_labels(polys) -> dict[SkeinPoly, tuple[int, ...]]:
+    """Map each polynomial of one level to its labels, in order of first sight."""
+    groups: dict[SkeinPoly, list[int]] = {}
+    for label, poly in enumerate(polys, start=1):
+        groups.setdefault(poly, []).append(label)
+    return {p: tuple(labels) for p, labels in groups.items()}
+
+
 def collision_groups(universe: Universe, n: int) -> dict[SkeinPoly, tuple[int, ...]]:
     """Partition the order-n labels by skein polynomial.
 
     The group size of P is the collision count N_P; most groups are
     singletons, the first collision appearing at order 4.
     """
-    groups: dict[SkeinPoly, list[int]] = {}
-    cat = universe.catalog(n)
-    for label in range(1, len(cat) + 1):
-        groups.setdefault(skein(cat.term(label)), []).append(label)
-    return {p: tuple(labels) for p, labels in groups.items()}
+    return group_labels(skein_levels(universe, n)[n])
 
 
 def np_recursion_check(universe: Universe, n: int) -> bool:
@@ -136,18 +149,14 @@ def np_recursion_check(universe: Universe, n: int) -> bool:
     N_kappa * N_lambda, convolving the groups of all lower orders."""
     if n < 1:
         raise ValueError("order must be >= 1")
-    actual = {p: len(labels) for p, labels in collision_groups(universe, n).items()}
-    predicted: dict[SkeinPoly, int] = {}
+    counts = [Counter(level) for level in skein_levels(universe, n)]
+    predicted: Counter[SkeinPoly] = Counter()
     for p in range(n):
-        q = n - 1 - p
-        left_groups = collision_groups(universe, p)
-        right_groups = collision_groups(universe, q)
-        for lp, llabels in left_groups.items():
+        for lp, lcount in counts[p].items():
             shifted = lp.times_a()
-            for rp, rlabels in right_groups.items():
-                combined = shifted + rp.times_b()
-                predicted[combined] = predicted.get(combined, 0) + len(llabels) * len(rlabels)
-    return predicted == actual
+            for rp, rcount in counts[n - 1 - p].items():
+                predicted[shifted + rp.times_b()] += lcount * rcount
+    return predicted == counts[n]
 
 
 # -- truncated power series -------------------------------------------------

@@ -229,9 +229,9 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
     lines: list[list[tuple[str, int, tuple[int, ...]]]] = [[] for _ in range(bound + 1)]
     for m in range(2, bound + 1):
         if config.mode in (MODE_A, MODE_AB):
-            lines[m] += [("tableau-A", k, row) for k, row in enumerate(universe.tableau_a(m).rows, 1)]
+            lines[m] += [("tableau-A", k, row) for k, row in enumerate(universe.tableau_a(m), 1)]
         if config.mode in (MODE_B, MODE_AB):
-            lines[m] += [("tableau-B", k, row) for k, row in enumerate(universe.tableau_b(m).rows, 1)]
+            lines[m] += [("tableau-B", k, row) for k, row in enumerate(universe.tableau_b(m), 1)]
     log, partitions = state.log, state.partitions
     tables = None
     if config.unicity:
@@ -592,10 +592,7 @@ def column_pair_survey(
     gives the witness of one pair on demand."""
     if n < 3:
         raise ValueError("survey starts at order 3")
-    tb = universe.tableau_b(n)
-    columns = tuple(
-        (min(a, b), max(a, b)) for a, b in zip(tb.rows[0], tb.rows[1])
-    )
+    columns = tuple((min(a, b), max(a, b)) for a, b in zip(*universe.tableau_b(n)))
 
     def verdict(pair: tuple[int, int]) -> Verdict:
         return Verdict(_verdict_kind(universe, IdentitySpec.of(n, pair), bound), bound)
@@ -681,8 +678,8 @@ def _merge_enabled(universe, fresh, spec, merge: Merge) -> bool:
         m, x, y, line = merge.source
         if merge.order != m + 1 or not fresh.same_class(m, x, y):
             return False
-        tab = universe.tableau_a(m + 1) if merge.rule == "tableau-A" else universe.tableau_b(m + 1)
-        row = tab.rows[line - 1]
+        rows = universe.tableau_a(m + 1) if merge.rule == "tableau-A" else universe.tableau_b(m + 1)
+        row = rows[line - 1]
         return row[x - 1] == merge.a and row[y - 1] == merge.b
     if merge.rule in ("cancel-left", "cancel-right"):
         m, x, y = merge.source

@@ -12,7 +12,6 @@ extensions V(J, x) and V(x, J): the keys (n-1, J, 1) and (0, 1, J).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
 from pathlib import Path
@@ -83,18 +82,6 @@ class Catalog:
         return self.index[(t.left.order, lower[t.left.order].label_of(t.left), lower[t.right.order].label_of(t.right))]
 
 
-@dataclass(frozen=True)
-class TableauA:
-    order: int
-    rows: tuple[tuple[int, ...], ...]  # n rows of S_{n-1} labels
-
-
-@dataclass(frozen=True)
-class TableauB:
-    order: int
-    rows: tuple[tuple[int, ...], ...]  # 2 rows of S_{n-1} labels
-
-
 class CatalogCache:
     """Write-only disk mirror of catalogs: a level's words, in label order,
     are written when its file is absent, and nothing reads them back."""
@@ -129,8 +116,8 @@ class Universe:
         self.max_order = max_order
         self.cache = cache
         self._catalogs: list[Catalog] = [Catalog(0, {}, ())]
-        self._tableaux_a: list[TableauA | None] = [None]
-        self._tableaux_b: list[TableauB | None] = [None]
+        self._tableaux_a: list[tuple[tuple[int, ...], ...]] = [()]
+        self._tableaux_b: list[tuple[tuple[int, ...], ...]] = [()]
         self._multiplicities: dict[int, tuple[int, ...]] = {}
 
     def ensure(self, order: int) -> None:
@@ -141,7 +128,7 @@ class Universe:
 
     def _build_next_level(self) -> None:
         n = len(self._catalogs)
-        grids = [tab.rows if tab else () for tab in self._tableaux_a]
+        grids = self._tableaux_a
         index: dict[tuple[int, int, int], int] = {}
         rows = []
         for k in range(1, n + 1):
@@ -158,26 +145,24 @@ class Universe:
         columns = range(1, len(self._catalogs[-1]) + 1)
         rows_b = (tuple(index[(n - 1, j, 1)] for j in columns), tuple(index[(0, 1, j)] for j in columns))
         self._catalogs.append(Catalog(n, index, tuple(self._catalogs)))
-        self._tableaux_a.append(TableauA(n, tuple(rows)))
-        self._tableaux_b.append(TableauB(n, rows_b))
+        self._tableaux_a.append(tuple(rows))
+        self._tableaux_b.append(rows_b)
         if self.cache is not None:
             self.cache.store(self._catalogs[n])
-
-    def build(self, order: int) -> tuple[Catalog, TableauA]:
-        """Catalog and substitution grid of one order, constructing as needed."""
-        return self.catalog(order), self.tableau_a(order)
 
     def catalog(self, order: int) -> Catalog:
         self.ensure(order)
         return self._catalogs[order]
 
-    def tableau_a(self, order: int) -> TableauA:
+    def tableau_a(self, order: int) -> tuple[tuple[int, ...], ...]:
+        """The n rows of A_n, each of S_{n-1} labels."""
         if order < 1:
             raise ValueError("tableaux start at order 1")
         self.ensure(order)
         return self._tableaux_a[order]
 
-    def tableau_b(self, order: int) -> TableauB:
+    def tableau_b(self, order: int) -> tuple[tuple[int, ...], ...]:
+        """The two rows of B_n, each of S_{n-1} labels: V(J, x), then V(x, J)."""
         if order < 1:
             raise ValueError("tableaux start at order 1")
         self.ensure(order)
@@ -185,7 +170,7 @@ class Universe:
 
     def grid_aplusb(self, order: int) -> tuple[tuple[int, ...], ...]:
         """Rows of A_n followed by the two rows of B_n."""
-        return self.tableau_a(order).rows + self.tableau_b(order).rows
+        return self.tableau_a(order) + self.tableau_b(order)
 
     def decompositions(self, order: int) -> tuple[tuple[int, int, int, int], ...]:
         """Per label 1..S_n: (left order, left label, right order, right label)."""
@@ -209,7 +194,7 @@ class Universe:
         counts = self._multiplicities.get(order)
         if counts is None:
             tally = [0] * (len(self.catalog(order)) + 1)
-            for row in self.tableau_a(order).rows:
+            for row in self.tableau_a(order):
                 for label in row:
                     tally[label] += 1
             counts = self._multiplicities[order] = tuple(tally)
@@ -232,20 +217,19 @@ class Universe:
         chosen = sorted(set(lines))
         if not chosen:
             raise ValueError("need at least one line index")
-        tab = self.tableau_a(order)
+        rows = self.tableau_a(order)
         if any(not 1 <= k <= order for k in chosen):
             raise IndexError(f"line indices must lie in 1..{order}")
-        common = set(tab.rows[chosen[0] - 1])
+        common = set(rows[chosen[0] - 1])
         for k in chosen[1:]:
-            common &= set(tab.rows[k - 1])
+            common &= set(rows[k - 1])
         return len(common)
 
     def fresh_label_counts(self, order: int) -> tuple[int, ...]:
         """Per line of A_n, how many labels make their first appearance there."""
-        tab = self.tableau_a(order)
         seen: set[int] = set()
         counts = []
-        for row in tab.rows:
+        for row in self.tableau_a(order):
             fresh = sum(1 for label in row if label not in seen)
             seen.update(row)
             counts.append(fresh)

@@ -183,8 +183,8 @@ def check_catalan_ballot_tables(universe, max_order, closure_order) -> Check:
 
 
 def check_tableau_goldens(universe, max_order, closure_order) -> Check:
-    ok = all(universe.tableau_a(n).rows == gold for n, gold in A_GOLD.items())
-    ok &= all(universe.tableau_b(n).rows == gold for n, gold in B_GOLD.items())
+    ok = all(universe.tableau_a(n) == gold for n, gold in A_GOLD.items())
+    ok &= all(universe.tableau_b(n) == gold for n, gold in B_GOLD.items())
     ok &= all(universe.grid_aplusb(n) == A_GOLD[n] + B_GOLD[n] for n in (3, 4, 5))
     return Check(
         "tableau-goldens",
@@ -418,7 +418,7 @@ def check_class_algebra(universe, max_order, closure_order) -> Check:
 
 
 def check_skein(universe, max_order, closure_order) -> Check:
-    from .polynomials import SkeinPoly, collision_groups, np_recursion_check, skein
+    from .polynomials import SkeinPoly, collision_groups, np_recursion_check, skein, skein_levels
 
     ok = all(
         skein(terms.parse_word(word)) == SkeinPoly(coeffs)
@@ -428,10 +428,10 @@ def check_skein(universe, max_order, closure_order) -> Check:
     shared = SkeinPoly({(2, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (0, 2): 1})
     ok &= groups.get(shared) == (4, 7)
     top = min(8, max_order)
-    for n in range(top + 1):
-        for t in terms.all_terms(n):
-            ok &= skein(t).evaluate(1, 1) == n + 1
-            ok &= skein(t).substitute_b_complement() == (1,)
+    for n, level in enumerate(skein_levels(universe, top)):
+        for poly in level:
+            ok &= poly.evaluate(1, 1) == n + 1
+            ok &= poly.substitute_b_complement() == (1,)
     rec_top = min(7, max_order)
     ok &= all(np_recursion_check(universe, n) for n in range(1, rec_top + 1))
     return Check(

@@ -52,7 +52,7 @@ def test_enumerate_order5_row_eleven(capsys):
 def test_tableau_matches_library_rendering(capsys, universe):
     code, out, _ = run_cli(capsys, "tableau", "--order", "4", "--mode", "A")
     assert code == 0
-    assert out.rstrip("\n") == tableau_text(universe.tableau_a(4).rows)
+    assert out.rstrip("\n") == tableau_text(universe.tableau_a(4))
 
 
 def test_tableau_single_cell(capsys):
@@ -68,7 +68,7 @@ def test_tableau_combined(capsys):
 def test_tableau_json_round_trip(capsys, universe):
     code, out, _ = run_cli(capsys, "tableau", "--order", "4", "--mode", "B", "--format", "json")
     record = json.loads(out)
-    assert tuple(tuple(r) for r in record["rows"]) == universe.tableau_b(4).rows
+    assert tuple(tuple(r) for r in record["rows"]) == universe.tableau_b(4)
 
 
 def test_incidence_csv_matches_library(capsys, universe):
@@ -131,6 +131,14 @@ def test_skein_order_listing(capsys):
     lines = out.splitlines()
     assert len(lines) == 15  # 14 labels + one collision line
     assert lines[-1] == "collision: labels 4 7"
+
+
+def test_skein_order_takes_ascii_digits_only(capsys):
+    # str.isdigit also accepts superscripts and other scripts' digits
+    for target in ("²", "٣", "０"):
+        code, out, err = run_cli(capsys, "skein", target)
+        assert code == 3 and out == ""
+        assert err == f"iterforge: {target!r}: invalid symbol {target!r} at position 0\n"
 
 
 def test_catalan_variants(capsys):

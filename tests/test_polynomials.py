@@ -12,6 +12,8 @@ from iterforge import (
     NonIntegralTerm,
     PowerSeries,
     SkeinPoly,
+    Term,
+    Universe,
     all_terms,
     catalan,
     catalan_convolution,
@@ -34,6 +36,7 @@ from iterforge.polynomials import (
     relation1_fit,
     relation2_check,
     relation3_estimate,
+    skein_levels,
 )
 
 ONE = SkeinPoly({(0, 0): 1})
@@ -104,6 +107,38 @@ def test_collision_groups(universe):
 def test_np_recursion(universe):
     for n in range(1, 8):
         assert np_recursion_check(universe, n)
+
+
+def test_label_table_matches_term_oracle(universe):
+    levels = skein_levels(universe, 9)
+    assert levels[0] == (ONE,)
+    for n, level in enumerate(levels):
+        cat = universe.catalog(n)
+        assert level == tuple(skein(cat.term(i)) for i in range(1, len(cat) + 1)), n
+
+
+def test_label_table_builds_no_terms(monkeypatch):
+    made = []
+    init = Term.__init__
+
+    def counting_init(self, *children):
+        made.append(children)
+        init(self, *children)
+
+    monkeypatch.setattr(Term, "__init__", counting_init)
+    universe = Universe(9)
+    groups = collision_groups(universe, 9)
+    assert all(np_recursion_check(universe, n) for n in range(1, 10))
+    assert made == []
+    assert sum(len(labels) for labels in groups.values()) == catalan(9)
+
+
+def test_equal_polynomials_hash_equal():
+    forward = SkeinPoly({(2, 0): 1, (1, 1): -2, (0, 2): 3})
+    backward = SkeinPoly({(0, 2): 3, (0, 0): 0, (1, 1): -2, (2, 0): 1, (5, 5): 0})
+    assert forward == backward and hash(forward) == hash(backward)
+    assert len({forward, backward}) == 1
+    assert SkeinPoly({(1, 0): 0}) == SkeinPoly() and hash(SkeinPoly({(1, 0): 0})) == hash(SkeinPoly())
 
 
 # -- series ------------------------------------------------------------------

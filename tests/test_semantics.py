@@ -615,8 +615,8 @@ def _apply_tableaux(state: ClosureState, universe: Universe, m: int, members: li
     """Merge the order-(m+1) column entries over a class of order-m labels."""
     mode = state.config.mode
     changed = False
-    rows_a = universe.tableau_a(m + 1).rows if mode in (MODE_A, MODE_AB) else ()
-    rows_b = universe.tableau_b(m + 1).rows if mode in (MODE_B, MODE_AB) else ()
+    rows_a = universe.tableau_a(m + 1) if mode in (MODE_A, MODE_AB) else ()
+    rows_b = universe.tableau_b(m + 1) if mode in (MODE_B, MODE_AB) else ()
     for x, y in zip(members, members[1:]):
         for line, row in enumerate(rows_a, start=1):
             changed |= state._union(m + 1, row[x - 1], row[y - 1], "tableau-A", (m, x, y, line))

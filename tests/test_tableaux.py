@@ -50,15 +50,16 @@ ORDER5_WORDS = {8: "VVVxxVVxxxx", 11: "VVVxxVxVxxx", 42: "VxVxVxVxVxx"}
 
 def test_tableau_goldens(universe):
     for n, gold in A_GOLD.items():
-        assert universe.tableau_a(n).rows == gold
+        assert universe.tableau_a(n) == gold
     for n, gold in B_GOLD.items():
-        assert universe.tableau_b(n).rows == gold
+        assert universe.tableau_b(n) == gold
 
 
 def test_build_returns_catalog_and_grid(universe):
-    catalog, grid = universe.build(4)
-    assert len(catalog) == 14
-    assert grid.rows == A_GOLD[4]
+    assert len(universe.catalog(4)) == 14
+    grid = universe.tableau_a(4)  # a grid is its rows: plain tuples of labels
+    assert type(grid) is tuple and all(type(row) is tuple for row in grid)
+    assert grid == A_GOLD[4]
 
 
 def test_combined_grid_goldens(universe):
@@ -99,7 +100,7 @@ def test_catalog_complete_and_distinct(universe):
 def test_labels_assigned_in_scan_order(universe):
     for n in range(1, 10):
         top = 0
-        for row in universe.tableau_a(n).rows:
+        for row in universe.tableau_a(n):
             for label in row:
                 if label > top:
                     assert label == top + 1
@@ -110,7 +111,7 @@ def test_labels_assigned_in_scan_order(universe):
 def test_line_completeness(universe):
     for n in range(1, 10):
         union = set()
-        for row in universe.tableau_a(n).rows:
+        for row in universe.tableau_a(n):
             assert len(set(row)) == len(row)  # no label twice on one line
             union |= set(row)
         assert union == set(range(1, catalan(n) + 1))
@@ -118,15 +119,15 @@ def test_line_completeness(universe):
 
 def test_no_label_on_adjacent_lines(universe):
     for n in range(1, 10):
-        rows = universe.tableau_a(n).rows
+        rows = universe.tableau_a(n)
         for a, b in zip(rows, rows[1:]):
             assert not set(a) & set(b)
 
 
 def test_b_entries_distinct(universe):
-    assert universe.tableau_b(1).rows == ((1,), (1,))  # the one degenerate case
+    assert universe.tableau_b(1) == ((1,), (1,))  # the one degenerate case
     for n in range(2, 10):
-        rows = universe.tableau_b(n).rows
+        rows = universe.tableau_b(n)
         flat = [label for row in rows for label in row]
         assert len(set(flat)) == len(flat) == 2 * catalan(n - 1)
 
@@ -195,7 +196,7 @@ def test_catalog_cache_is_never_read(tmp_path):
     path = tmp_path / "catalog-v1-04.txt"
     path.write_text("1 4 14\n" + "VxVxVxVxx\n" * 14)
     universe = Universe(4, cache=CatalogCache(tmp_path))
-    assert universe.tableau_a(4).rows == A_GOLD[4]
+    assert universe.tableau_a(4) == A_GOLD[4]
     assert universe.catalog(4).word(14) == "VxVxVxVxx"
     assert path.read_text() == "1 4 14\n" + "VxVxVxVxx\n" * 14  # an existing file is left as it is
 
@@ -207,8 +208,7 @@ def test_cache_env_override(tmp_path, monkeypatch):
 
 
 def test_tableau_text_golden(universe):
-    tab = universe.tableau_a(4)
-    assert tableau_text(tab.rows) == "1 2 3 4 5\n6 7 8 9 10\n3 4 11 12 13\n2 5 7 10 14"
+    assert tableau_text(universe.tableau_a(4)) == "1 2 3 4 5\n6 7 8 9 10\n3 4 11 12 13\n2 5 7 10 14"
 
 
 def term_oracle(max_order):
@@ -254,8 +254,8 @@ def test_label_arithmetic_matches_term_oracle():
     universe = Universe(10)
     catalogs, levels = term_oracle(10)
     for n, (rows_a, rows_b, decompositions) in levels.items():
-        assert universe.tableau_a(n).rows == rows_a, n
-        assert universe.tableau_b(n).rows == rows_b, n
+        assert universe.tableau_a(n) == rows_a, n
+        assert universe.tableau_b(n) == rows_b, n
         assert universe.decompositions(n) == decompositions, n
     for n in range(8):
         assert universe.catalog(n).terms == tuple(catalogs[n]), n
@@ -282,6 +282,6 @@ def test_build_creates_no_terms(monkeypatch):
 
 def test_multiplicity_counts_every_label(universe):
     for n in range(1, 9):
-        rows = universe.tableau_a(n).rows
+        rows = universe.tableau_a(n)
         for label in range(1, catalan(n) + 1):
             assert universe.multiplicity(n, label) == sum(row.count(label) for row in rows), (n, label)
