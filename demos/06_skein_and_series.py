@@ -19,11 +19,13 @@ from iterforge import (
     parse_word,
     series_mixed,
     skein,
+    skein_levels,
     skein_q,
     weighted_recurrence,
 )
 
 universe = Universe(9)
+levels = skein_levels(universe, 7)
 
 print("== the polynomial table through order 3 ==")
 for n in range(4):
@@ -34,14 +36,14 @@ for n in range(4):
 
 print()
 print("== the first collision ==")
-groups = collision_groups(universe, 4)
+groups = collision_groups(levels[4])
 for poly, labels in groups.items():
     if len(labels) > 1:
         cat = universe.catalog(4)
         words = ", ".join(cat.word(v) for v in labels)
         print(f"  {words} share {poly}")
 print("collision-count recursion holds through order 7:",
-      all(np_recursion_check(universe, n) for n in range(1, 8)))
+      np_recursion_check(levels))
 
 print()
 print("== the companion polynomial ==")

@@ -21,7 +21,7 @@ _EXPORTS = {
     "polynomials": (
         "PowerSeries", "SkeinPoly", "catalan_convolution", "catalan_general", "catalan_relative",
         "collision_groups", "convolution_relation_check", "np_recursion_check", "series_mixed",
-        "skein", "skein_q", "weighted_recurrence",
+        "skein", "skein_levels", "skein_q", "weighted_recurrence",
     ),
     "semantics": (
         "ClosureConfig", "ClosureState", "IdentitySpec", "Verdict", "classify_identity",

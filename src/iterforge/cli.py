@@ -152,7 +152,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_skein(args) -> int:
-    from .polynomials import group_labels, skein, skein_levels
+    from .polynomials import collision_groups, skein, skein_levels
 
     if args.target.isascii() and args.target.isdigit():
         order = int(args.target)
@@ -160,7 +160,7 @@ def cmd_skein(args) -> int:
             raise UsageError(f"order {order} above the cap {MAX_ORDER_CAP}")
         uni = _universe(order)
         polys = skein_levels(uni, order)[order]
-        _emit(args, render.skein_table(uni.catalog(order), polys, group_labels(polys), args.format))
+        _emit(args, render.skein_table(uni.catalog(order), polys, collision_groups(polys), args.format))
     elif args.target.count("V") > MAX_WORD_ORDER:
         raise UsageError(f"usage: skein WORD (order of WORD <= {MAX_WORD_ORDER})")
     else:

@@ -4,10 +4,11 @@ exact generating-series arithmetic for the Catalan generalizations.
 The skein polynomial tracks, per variable, how often it sits in first
 or second argument position along its path to the root: the variable
 contributes the monomial a^s b^t.  Building V(J, J') multiplies J's
-polynomial by a and J''s by b and adds, starting from 1 at the leaf.
-`skein_levels` follows that build-up over the universe's label
-decompositions, so an order listing decodes no term; `skein` and `skein_q`
-take one `Term`, for words beyond the universe and as oracles.
+polynomial by a and J''s by b and adds (`SkeinPoly.join`), starting from 1
+at the leaf.  `skein_levels` follows that build-up over the universe's
+label decompositions into one table, whose levels `collision_groups` and
+`np_recursion_check` read; `skein` and `skein_q` take one `Term`, for
+words beyond the universe and as oracles.
 """
 
 from __future__ import annotations
@@ -51,15 +52,13 @@ class SkeinPoly:
             out[k] = out.get(k, 0) - v
         return SkeinPoly(out)
 
-    def shift(self, ds: int, dt: int) -> SkeinPoly:
-        """Multiply by a^ds b^dt."""
-        return SkeinPoly({(s + ds, t + dt): c for (s, t), c in self.coeffs.items()})
-
-    def times_a(self) -> SkeinPoly:
-        return self.shift(1, 0)
-
-    def times_b(self) -> SkeinPoly:
-        return self.shift(0, 1)
+    @staticmethod
+    def join(left: SkeinPoly, right: SkeinPoly) -> SkeinPoly:
+        """a*left + b*right, the polynomial of V(L, R); cancelled terms drop."""
+        out = {(s + 1, t): c for (s, t), c in left.coeffs.items()}
+        for (s, t), c in right.coeffs.items():
+            out[s, t + 1] = out.get((s, t + 1), 0) + c
+        return SkeinPoly(out)
 
     def evaluate(self, a, b):
         return sum(c * a**s * b**t for (s, t), c in self.coeffs.items())
@@ -103,7 +102,7 @@ def skein(t: Term) -> SkeinPoly:
     """P(t): 1 at the leaf, a*P(left) + b*P(right) at a node."""
     if t.is_leaf:
         return _ONE
-    return skein(t.left).times_a() + skein(t.right).times_b()
+    return SkeinPoly.join(skein(t.left), skein(t.right))
 
 
 def skein_q(t: Term) -> SkeinPoly:
@@ -113,7 +112,7 @@ def skein_q(t: Term) -> SkeinPoly:
     """
     if t.is_leaf:
         return _ZERO
-    return skein_q(t.left).times_a() + skein_q(t.right).times_b() + _ONE
+    return SkeinPoly.join(skein_q(t.left), skein_q(t.right)) + _ONE
 
 
 def skein_levels(universe: Universe, n: int) -> tuple[tuple[SkeinPoly, ...], ...]:
@@ -121,42 +120,40 @@ def skein_levels(universe: Universe, n: int) -> tuple[tuple[SkeinPoly, ...], ...
     levels = [(_ONE,)]
     for m in range(1, n + 1):
         levels.append(tuple(
-            levels[lo][la - 1].times_a() + levels[ro][rb - 1].times_b()
+            SkeinPoly.join(levels[lo][la - 1], levels[ro][rb - 1])
             for lo, la, ro, rb in universe.decompositions(m)
         ))
     return tuple(levels)
 
 
-def group_labels(polys) -> dict[SkeinPoly, tuple[int, ...]]:
-    """Map each polynomial of one level to its labels, in order of first sight."""
+def collision_groups(polys) -> dict[SkeinPoly, tuple[int, ...]]:
+    """Partition one `skein_levels` level's labels by polynomial, in order of first sight.
+
+    The group size of P is the collision count N_P; most groups are
+    singletons, the first collision appearing at order 4.
+    """
     groups: dict[SkeinPoly, list[int]] = {}
     for label, poly in enumerate(polys, start=1):
         groups.setdefault(poly, []).append(label)
     return {p: tuple(labels) for p, labels in groups.items()}
 
 
-def collision_groups(universe: Universe, n: int) -> dict[SkeinPoly, tuple[int, ...]]:
-    """Partition the order-n labels by skein polynomial.
-
-    The group size of P is the collision count N_P; most groups are
-    singletons, the first collision appearing at order 4.
-    """
-    return group_labels(skein_levels(universe, n)[n])
-
-
-def np_recursion_check(universe: Universe, n: int) -> bool:
+def np_recursion_check(levels) -> bool:
     """Verify N_P = sum over splits a*P_kappa + b*P_lambda = P of
-    N_kappa * N_lambda, convolving the groups of all lower orders."""
-    if n < 1:
-        raise ValueError("order must be >= 1")
-    counts = [Counter(level) for level in skein_levels(universe, n)]
-    predicted: Counter[SkeinPoly] = Counter()
-    for p in range(n):
-        for lp, lcount in counts[p].items():
-            shifted = lp.times_a()
-            for rp, rcount in counts[n - 1 - p].items():
-                predicted[shifted + rp.times_b()] += lcount * rcount
-    return predicted == counts[n]
+    N_kappa * N_lambda at every order n >= 1 of a `skein_levels` table,
+    convolving the counts of orders p and n-1-p."""
+    if len(levels) < 2:
+        raise ValueError("need a table through order >= 1")
+    counts = [Counter(level) for level in levels]
+    for n in range(1, len(counts)):
+        predicted: Counter[SkeinPoly] = Counter()
+        for p in range(n):
+            for lp, lcount in counts[p].items():
+                for rp, rcount in counts[n - 1 - p].items():
+                    predicted[SkeinPoly.join(lp, rp)] += lcount * rcount
+        if predicted != counts[n]:
+            return False
+    return True
 
 
 # -- truncated power series -------------------------------------------------

@@ -424,16 +424,16 @@ def check_skein(universe, max_order, closure_order) -> Check:
         skein(terms.parse_word(word)) == SkeinPoly(coeffs)
         for word, coeffs in SKEIN_TABLE.items()
     )
-    groups = collision_groups(universe, 4)
-    shared = SkeinPoly({(2, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (0, 2): 1})
-    ok &= groups.get(shared) == (4, 7)
     top = min(8, max_order)
-    for n, level in enumerate(skein_levels(universe, top)):
+    levels = skein_levels(universe, top)
+    shared = SkeinPoly({(2, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (0, 2): 1})
+    ok &= collision_groups(levels[4]).get(shared) == (4, 7)
+    for n, level in enumerate(levels):
         for poly in level:
             ok &= poly.evaluate(1, 1) == n + 1
             ok &= poly.substitute_b_complement() == (1,)
     rec_top = min(7, max_order)
-    ok &= all(np_recursion_check(universe, n) for n in range(1, rec_top + 1))
+    ok &= np_recursion_check(levels[: rec_top + 1])
     return Check(
         "skein-polynomials",
         f"table through order 3; the (4,7) collision; evaluations order<={top}; collision recursion order<={rec_top}",

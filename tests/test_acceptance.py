@@ -30,6 +30,7 @@ from iterforge import (
     run_length_code,
     series_mixed,
     skein,
+    skein_levels,
     t_nk,
     unicity_bounds_check,
     validate_word_diophantine,
@@ -220,15 +221,14 @@ def test_criterion_13_class_algebra(universe):
 def test_criterion_14_skein(universe):
     for word, coeffs in SKEIN_TABLE.items():
         assert skein(parse_word(word)) == SkeinPoly(coeffs)
-    groups = collision_groups(universe, 4)
+    levels = skein_levels(universe, 7)
     shared = SkeinPoly({(2, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (0, 2): 1})
-    assert groups[shared] == (4, 7)
+    assert collision_groups(levels[4])[shared] == (4, 7)
     for n in range(9):
         for t in all_terms(n):
             assert skein(t).evaluate(1, 1) == n + 1
             assert skein(t).substitute_b_complement() == (1,)
-    for n in range(1, 8):
-        assert np_recursion_check(universe, n)
+    assert np_recursion_check(levels)
     done(14, "skein table, the (4,7) collision, evaluations, recursion")
 
 

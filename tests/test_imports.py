@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def test_every_exported_name_is_its_home_modules_object():
-    assert len(iterforge.__all__) == len(set(iterforge.__all__)) == 68
+    assert len(iterforge.__all__) == len(set(iterforge.__all__)) == 69
     for name in iterforge.__all__:
         home = importlib.import_module(f"iterforge.{iterforge._HOME[name]}")
         assert getattr(iterforge, name) is getattr(home, name), name

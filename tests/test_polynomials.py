@@ -28,6 +28,7 @@ from iterforge import (
     skein_q,
     weighted_recurrence,
 )
+from iterforge import polynomials
 from iterforge.polynomials import (
     catalan_general_sequence,
     count_trees_mixed,
@@ -38,6 +39,7 @@ from iterforge.polynomials import (
     relation3_estimate,
     skein_levels,
 )
+from iterforge.verify import check_skein
 
 ONE = SkeinPoly({(0, 0): 1})
 
@@ -68,7 +70,7 @@ def test_skein_text_form():
 def test_skein_homomorphism_rule():
     for n in range(1, 7):
         for t in all_terms(n):
-            assert skein(t) == skein(t.left).times_a() + skein(t.right).times_b()
+            assert skein(t) == SkeinPoly.join(skein(t.left), skein(t.right))
 
 
 def test_skein_at_one_one_counts_variables():
@@ -89,24 +91,50 @@ def test_q_polynomial_relation():
     for n in range(9):
         for t in all_terms(n):
             q = skein_q(t)
-            assert q.times_a() + q.times_b() - q + ONE == skein(t)
+            assert SkeinPoly.join(q, q) - q + ONE == skein(t)
 
 
 def test_collision_groups(universe):
+    levels = skein_levels(universe, 8)
     for n in range(4):
-        assert all(len(g) == 1 for g in collision_groups(universe, n).values())
-    groups = collision_groups(universe, 4)
+        assert all(len(g) == 1 for g in collision_groups(levels[n]).values())
+    groups = collision_groups(levels[4])
     shared = SkeinPoly({(2, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (0, 2): 1})
     assert groups[shared] == (4, 7)
     assert all(labels == (4, 7) for labels in groups.values() if len(labels) > 1)
     for n in range(1, 9):
-        sizes = [len(g) for g in collision_groups(universe, n).values()]
+        sizes = [len(g) for g in collision_groups(levels[n]).values()]
         assert sum(sizes) == catalan(n)
 
 
 def test_np_recursion(universe):
-    for n in range(1, 8):
-        assert np_recursion_check(universe, n)
+    levels = skein_levels(universe, 7)
+    assert np_recursion_check(levels)
+    with pytest.raises(ValueError):
+        np_recursion_check(levels[:1])
+
+
+def test_np_recursion_fails_at_any_order(universe):
+    levels = skein_levels(universe, 8)
+    assert np_recursion_check(levels)
+    for n in (4, 8):
+        level = levels[n]
+        assert level[0] != level[-1]
+        tampered = levels[:n] + ((level[-1],) + level[1:],) + levels[n + 1:]
+        assert not np_recursion_check(tampered), n
+
+
+def test_check_skein_builds_one_table(universe, monkeypatch):
+    calls = []
+    build = polynomials.skein_levels
+
+    def counting_build(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(polynomials, "skein_levels", counting_build)
+    assert check_skein(universe, 9, 7).status == "pass"
+    assert len(calls) == 1
 
 
 def test_label_table_matches_term_oracle(universe):
@@ -126,9 +154,9 @@ def test_label_table_builds_no_terms(monkeypatch):
         init(self, *children)
 
     monkeypatch.setattr(Term, "__init__", counting_init)
-    universe = Universe(9)
-    groups = collision_groups(universe, 9)
-    assert all(np_recursion_check(universe, n) for n in range(1, 10))
+    levels = skein_levels(Universe(9), 9)
+    groups = collision_groups(levels[9])
+    assert np_recursion_check(levels)
     assert made == []
     assert sum(len(labels) for labels in groups.values()) == catalan(9)
 
@@ -139,6 +167,35 @@ def test_equal_polynomials_hash_equal():
     assert forward == backward and hash(forward) == hash(backward)
     assert len({forward, backward}) == 1
     assert SkeinPoly({(1, 0): 0}) == SkeinPoly() and hash(SkeinPoly({(1, 0): 0})) == hash(SkeinPoly())
+
+
+coeff_dicts = st.dictionaries(
+    st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-3, 3), max_size=6
+)
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two signed coefficient dicts, where some b*right terms cancel a*left terms."""
+    left = draw(coeff_dicts)
+    right = draw(coeff_dicts)
+    for (s, t), c in left.items():
+        if t and draw(st.booleans()):
+            right[(s + 1, t - 1)] = -c
+    return left, right
+
+
+@settings(deadline=None, database=None)
+@given(poly_pairs())
+def test_join_matches_plain_dict_oracle(pair):
+    left, right = pair
+    by_a = {(s + 1, t): c for (s, t), c in left.items()}
+    by_b = {(s, t + 1): c for (s, t), c in right.items()}
+    total = {k: by_a.get(k, 0) + by_b.get(k, 0) for k in by_a.keys() | by_b.keys()}
+    expected = SkeinPoly(total)
+    joined = SkeinPoly.join(SkeinPoly(left), SkeinPoly(right))
+    assert joined == expected and hash(joined) == hash(expected)
+    assert 0 not in joined.coeffs.values()
 
 
 # -- series ------------------------------------------------------------------
