@@ -3,17 +3,21 @@
 An identity t = u is formally reducible when both sides carry the same
 lower-order subterm at the same variable span; one substitution step sees
 this as a shared cherry position, and the root extensions add the two
-cases "both right arguments are x" / "both left arguments are x".  The
-incidence matrix records the relation for all ordered label pairs of one
-order, diagonal included.
+cases "both right arguments are x" / "both left arguments are x".  Two
+labels are related exactly when one line of the tableaux holds both, so
+the incidence matrix of one order stores each label's line signature, the
+mask of the lines that hold it, and never the S_n^2 entries themselves.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property, reduce
 from fractions import Fraction
 from math import comb
+from operator import or_
 
 from .errors import OrderMismatch
 from .tableaux import Universe, t_nk
@@ -31,25 +35,35 @@ def _check_mode(mode: str) -> str:
 
 @dataclass(frozen=True)
 class IncidenceMatrix:
-    """Symmetric 0/1 matrix over labels 1..S_n, rows packed as bit masks."""
+    """Symmetric 0/1 matrix over labels 1..S_n, diagonal included, held as
+    line signatures: delta(i, j) = 1 iff the signatures of i and j share a
+    line.  Mode A reads the n lines of A_n, mode AB adds the two of B_n."""
 
     order: int
     mode: str
-    rows: tuple[int, ...]  # rows[i-1] bit (j-1) set iff delta(i, j) = 1
+    signatures: tuple[int, ...]  # signatures[i-1]: the lines that hold label i
 
     @property
     def size(self) -> int:
-        return len(self.rows)
+        return len(self.signatures)
+
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """rows[i-1] bit (j-1) set iff delta(i, j) = 1: a view for rendering."""
+        lines = range(max(self.signatures).bit_length())
+        holders = [sum(1 << label for label, sig in enumerate(self.signatures) if sig >> k & 1) for k in lines]
+        return tuple(reduce(or_, (holders[k] for k in lines if sig >> k & 1), 0) for sig in self.signatures)
 
     def entry(self, i: int, j: int) -> int:
-        return (self.rows[i - 1] >> (j - 1)) & 1
+        return 1 if self.signatures[i - 1] & self.signatures[j - 1] else 0
 
     def row_sum(self, i: int) -> int:
         return self.rows[i - 1].bit_count()
 
     def total(self) -> int:
         """Ordered reducible pairs, diagonal included."""
-        return sum(r.bit_count() for r in self.rows)
+        counts = Counter(self.signatures)
+        return sum(count_a * count_b for a, count_a in counts.items() for b, count_b in counts.items() if a & b)
 
     def total_unordered(self) -> int:
         """Unordered off-diagonal reducible pairs."""
@@ -76,20 +90,13 @@ def delta_oracle(t: Term, u: Term, mode: str = MODE_A) -> int:
 
 
 def incidence_matrix(universe: Universe, n: int, mode: str = MODE_A) -> IncidenceMatrix:
-    """Matrix of all S_n^2 identities, read off the tableau lines."""
+    """Matrix of all S_n^2 identities, read off the label signatures."""
     _check_mode(mode)
-    size = len(universe.catalog(n))
-    rows = [0] * (size + 1)
-    lines = universe.tableau_a(n)
-    if mode == MODE_AB:
-        lines = lines + universe.tableau_b(n)
-    for line in lines:
-        mask = 0
-        for label in line:
-            mask |= 1 << (label - 1)
-        for label in set(line):
-            rows[label] |= mask
-    return IncidenceMatrix(n, mode, tuple(rows[1:]))
+    sigs = universe.signatures(n)
+    if mode == MODE_A:
+        lines_a = (1 << n) - 1
+        sigs = tuple(sig & lines_a for sig in sigs)
+    return IncidenceMatrix(n, mode, sigs)
 
 
 def count_reducible(universe: Universe, n: int, mode: str = MODE_A) -> int:

@@ -16,7 +16,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import comb
 
 from .errors import BadArity, IllFoundedRecursion, NonIntegralTerm
@@ -262,27 +261,6 @@ def catalan_general_sequence(a: int, top: int) -> list[int]:
             den *= (a - 1) * n + j
         terms.append(terms[-1] * num // ((n + 1) * den))
     return terms
-
-
-@lru_cache(maxsize=None)
-def count_trees_mixed(arities: tuple[int, ...], n: int) -> int:
-    """Brute-force count of arity-multiset trees with n internal nodes."""
-    if n == 0:
-        return 1
-    total = 0
-    for a in arities:
-        total += _count_forests(arities, a, n - 1)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _count_forests(arities: tuple[int, ...], slots: int, budget: int) -> int:
-    if slots == 0:
-        return 1 if budget == 0 else 0
-    total = 0
-    for first in range(budget + 1):
-        total += count_trees_mixed(arities, first) * _count_forests(arities, slots - 1, budget - first)
-    return total
 
 
 def op_symbol(index: int) -> str:

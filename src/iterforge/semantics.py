@@ -556,8 +556,8 @@ class ColumnSurvey:
     bound: int
     column_pairs: tuple[tuple[int, int], ...]
     column_verdicts: tuple[Verdict, ...]
-    other_pairs: tuple[tuple[int, int], ...] | None
-    other_verdicts: tuple[Verdict, ...] | None
+    other_pairs: tuple[tuple[int, int], ...]
+    other_verdicts: tuple[Verdict, ...]
 
     @property
     def essential_columns(self) -> tuple[tuple[int, int], ...]:
@@ -569,8 +569,6 @@ class ColumnSurvey:
 
     @property
     def essential_others(self) -> tuple[tuple[int, int], ...]:
-        if self.other_pairs is None:
-            return ()
         return tuple(
             pair
             for pair, verdict in zip(self.other_pairs, self.other_verdicts)
@@ -578,14 +576,9 @@ class ColumnSurvey:
         )
 
 
-def column_pair_survey(
-    universe: Universe,
-    n: int,
-    bound: int = DEFAULT_CLOSURE_ORDER,
-    include_others: bool = True,
-) -> ColumnSurvey:
+def column_pair_survey(universe: Universe, n: int, bound: int = DEFAULT_CLOSURE_ORDER) -> ColumnSurvey:
     """Classify the column pairs V(J,x) = V(x,J) of the order-n root-extension
-    tableau, and optionally every other formally irreducible order-n identity.
+    tableau, and every other formally irreducible order-n identity.
 
     The verdicts are kinds only: each has witness None.  A survey reads no
     witness, and finding one costs a second closure; `classify_identity`
@@ -598,17 +591,15 @@ def column_pair_survey(
         return Verdict(_verdict_kind(universe, IdentitySpec.of(n, pair), bound), bound)
 
     column_verdicts = tuple(verdict(pair) for pair in columns)
-    other_pairs = other_verdicts = None
-    if include_others:
-        reducible = incidence_matrix(universe, n, MODE_AB)
-        column_set = set(columns)
-        other_pairs = tuple(
-            (i, j)
-            for i in range(1, reducible.size + 1)
-            for j in range(i + 1, reducible.size + 1)
-            if (i, j) not in column_set and not reducible.entry(i, j)
-        )
-        other_verdicts = tuple(verdict(pair) for pair in other_pairs)
+    reducible = incidence_matrix(universe, n, MODE_AB)
+    column_set = set(columns)
+    other_pairs = tuple(
+        (i, j)
+        for i in range(1, reducible.size + 1)
+        for j in range(i + 1, reducible.size + 1)
+        if (i, j) not in column_set and not reducible.entry(i, j)
+    )
+    other_verdicts = tuple(verdict(pair) for pair in other_pairs)
     return ColumnSurvey(n, bound, columns, column_verdicts, other_pairs, other_verdicts)
 
 

@@ -7,11 +7,14 @@ k <= lo+1, else V(L, A_{ro+1}[k-lo-1][R]), read off grids of lower orders.
 Keyed by (left order, left label, right label), the results get labels
 1..S_n at first sight in a row-major scan.  Tableau B_n holds the root
 extensions V(J, x) and V(x, J): the keys (n-1, J, 1) and (0, 1, J).
+A label's signature is the mask of the n+2 lines of A_n and B_n that hold
+it; multiplicities, line intersections and incidence are read from it.
 """
 
 from __future__ import annotations
 
 import os
+from collections import Counter
 from functools import cached_property
 from math import comb
 from pathlib import Path
@@ -118,7 +121,7 @@ class Universe:
         self._catalogs: list[Catalog] = [Catalog(0, {}, ())]
         self._tableaux_a: list[tuple[tuple[int, ...], ...]] = [()]
         self._tableaux_b: list[tuple[tuple[int, ...], ...]] = [()]
-        self._multiplicities: dict[int, tuple[int, ...]] = {}
+        self._signatures: dict[int, tuple[int, ...]] = {}
 
     def ensure(self, order: int) -> None:
         if order > self.max_order:
@@ -188,51 +191,48 @@ class Universe:
 
     # -- counting ----------------------------------------------------------
 
-    def multiplicities(self, order: int) -> tuple[int, ...]:
-        """Entry i: the number of occurrences of label i in tableau A_n
-        (entry 0 is 0); counted in one pass, once per order."""
-        counts = self._multiplicities.get(order)
-        if counts is None:
-            tally = [0] * (len(self.catalog(order)) + 1)
-            for row in self.tableau_a(order):
-                for label in row:
-                    tally[label] += 1
-            counts = self._multiplicities[order] = tuple(tally)
-        return counts
+    def signatures(self, order: int) -> tuple[int, ...]:
+        """Entry i-1: the lines of grid_aplusb(order) that hold label i, as a
+        mask (bit k-1 for row k of A_n, bits n and n+1 for the rows of B_n);
+        read in one pass, once per order."""
+        sigs = self._signatures.get(order)
+        if sigs is None:
+            masks = [0] * len(self.catalog(order))
+            for bit, line in enumerate(self.grid_aplusb(order)):
+                for label in line:
+                    masks[label - 1] |= 1 << bit
+            sigs = self._signatures[order] = tuple(masks)
+        return sigs
+
+    def _a_signatures(self, order: int):
+        lines_a = (1 << order) - 1
+        return (sig & lines_a for sig in self.signatures(order))
 
     def multiplicity(self, order: int, label: int) -> int:
         """Number of occurrences of a label in tableau A_n."""
         self.catalog(order).check_label(label)
-        return self.multiplicities(order)[label]
+        return (self.signatures(order)[label - 1] & ((1 << order) - 1)).bit_count()
 
     def multiplicity_histogram(self, order: int) -> dict[int, int]:
         """Map multiplicity k -> number of labels occurring k times in A_n."""
-        hist: dict[int, int] = {}
-        for count in self.multiplicities(order)[1:]:
-            hist[count] = hist.get(count, 0) + 1
-        return hist
+        return dict(Counter(sig.bit_count() for sig in self._a_signatures(order)))
 
     def line_intersection_card(self, order: int, lines) -> int:
         """Cardinality of the intersection of the given lines of A_n."""
-        chosen = sorted(set(lines))
+        chosen = set(lines)
         if not chosen:
             raise ValueError("need at least one line index")
-        rows = self.tableau_a(order)
+        sigs = self.signatures(order)
         if any(not 1 <= k <= order for k in chosen):
             raise IndexError(f"line indices must lie in 1..{order}")
-        common = set(rows[chosen[0] - 1])
-        for k in chosen[1:]:
-            common &= set(rows[k - 1])
-        return len(common)
+        mask = sum(1 << (k - 1) for k in chosen)
+        return sum(1 for sig in sigs if sig & mask == mask)
 
     def fresh_label_counts(self, order: int) -> tuple[int, ...]:
         """Per line of A_n, how many labels make their first appearance there."""
-        seen: set[int] = set()
-        counts = []
-        for row in self.tableau_a(order):
-            fresh = sum(1 for label in row if label not in seen)
-            seen.update(row)
-            counts.append(fresh)
+        counts = [0] * order
+        for sig in self._a_signatures(order):
+            counts[(sig & -sig).bit_length() - 1] += 1
         return tuple(counts)
 
 

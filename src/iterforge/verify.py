@@ -263,7 +263,7 @@ def check_multiplicity_histograms(universe, max_order, closure_order) -> Check:
 
 
 def check_frequency_trend(universe, max_order, closure_order) -> Check:
-    rows = incidence.frequency_report(max(8, min(9, max_order)), universe if max_order >= 3 else None)
+    rows = incidence.frequency_report(max(8, min(9, max_order)))
     windowed = [r for r in rows if 4 <= r.n <= 8]
     ok = all(a.one_minus_ratio > b.one_minus_ratio for a, b in zip(windowed, windowed[1:]))
     table = "; ".join(
@@ -522,7 +522,7 @@ def check_column_pairs(universe, max_order, closure_order) -> Check:
 
 
 def report_column_pairs_order4(universe, max_order, closure_order) -> Check:
-    survey = semantics.column_pair_survey(universe, 4, closure_order, include_others=True)
+    survey = semantics.column_pair_survey(universe, 4, closure_order)
     verdicts = "; ".join(
         f"{pair}: {verdict}"
         for pair, verdict in zip(survey.column_pairs, survey.column_verdicts)

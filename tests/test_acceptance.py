@@ -275,7 +275,7 @@ def test_criterion_18_column_pair_conjecture(universe):
     assert survey3.column_pairs == ((1, 4), (3, 5))
     assert survey3.essential_columns == ((1, 4), (3, 5))
     assert survey3.essential_others == ()
-    survey4 = column_pair_survey(universe, 4, 7, include_others=False)
+    survey4 = column_pair_survey(universe, 4, 7)
     assert survey4.column_pairs == ((1, 9), (3, 10), (6, 12), (8, 13), (11, 14))
     for pair, verdict in zip(survey4.column_pairs, survey4.column_verdicts):
         print(f"  order-4 column {pair}: {verdict} (report-only)")

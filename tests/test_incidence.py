@@ -8,6 +8,7 @@ import pytest
 
 from iterforge import (
     OrderMismatch,
+    Universe,
     catalan,
     count_reducible,
     delta_oracle,
@@ -173,6 +174,15 @@ def test_formula_equals_brute_force(universe):
     assert i_n_formula(4) == 88
     for n in range(3, 10):
         assert i_n_formula(n) == count_reducible(universe, n, MODE_A)
+
+
+def test_count_reducible_past_the_cap():
+    # an S_n^2 bitmask would need 5.4 GB at order 12; the mode-AB values are
+    # S_n^2 - sum_i (-1)^i [C(n-i+1, i) S_{n-i}^2 - 2 C(n-i, i) S_{n-1-i}^2]
+    universe = Universe(12)
+    for n in (10, 11, 12):
+        assert count_reducible(universe, n, MODE_A) == i_n_formula(n), n
+    assert [count_reducible(universe, n, MODE_AB) for n in (10, 11, 12)] == [192090112, 2417906738, 31057201140]
 
 
 def aplusb_histogram(universe, n):

@@ -485,9 +485,8 @@ def test_column_pair_survey_order3(universe):
 
 
 def test_column_pairs_order4(universe):
-    survey = column_pair_survey(universe, 4, 5, include_others=False)
+    survey = column_pair_survey(universe, 4, 5)
     assert survey.column_pairs == ((1, 9), (3, 10), (6, 12), (8, 13), (11, 14))
-    assert survey.other_pairs is None
 
 
 @pytest.mark.parametrize("bound", [5, 6, 7])

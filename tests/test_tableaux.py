@@ -180,6 +180,16 @@ def test_fresh_label_counts_match_ballot_rows(universe):
         assert universe.fresh_label_counts(n) == ballot_row(n)
 
 
+def test_signatures_match_row_membership(universe):
+    for n in range(1, 10):
+        sigs = universe.signatures(n)
+        assert len(sigs) == catalan(n)
+        for k, line in enumerate(universe.grid_aplusb(n)):
+            holders = set(line)
+            for label in range(1, catalan(n) + 1):
+                assert (sigs[label - 1] >> k & 1) == (label in holders), (n, k + 1, label)
+
+
 def test_catalog_cache_round_trip(tmp_path):
     cache = CatalogCache(tmp_path)
     universe = Universe(5, cache=cache)
