@@ -14,8 +14,10 @@ words beyond the universe and as oracles.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
 from .errors import BadArity, IllFoundedRecursion, NonIntegralTerm
@@ -269,41 +271,60 @@ def op_symbol(index: int) -> str:
     return chr(0x41 + index) if index < 26 else chr(0x100 + index)
 
 
-def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> list[str]:
+def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> Iterator[str]:
     """Explicitly build every arity-multiset tree with n internal nodes.
 
     Trees are prefix words: a node is the symbol op_symbol(i) of its
     operation arities[i] followed by its children's words, a leaf is "x".
     With one character per operation every word decodes uniquely, whatever
-    the number of operations.  Each level is built once from the lower
-    ones, which live only for this call.  The trees are built one by one,
-    never from the series or the counts, so this is an independent
-    counting oracle for both.
+    the number of operations.  The trees are built one by one, never from
+    the series or the counts, so this is an independent counting oracle
+    for both.
+
+    Returns an iterator over level n, yielded in strictly increasing
+    code-point order; level n is never held.  The words form a prefix-free
+    code, so two concatenations of the same number of trees compare as
+    their first differing tree.  Taking the operations in symbol order,
+    and each child, first child outermost, in word order from the words of
+    every size that fit the remaining budget, therefore yields sorted
+    words.  The argument checks and the lower levels run before this
+    returns, so bad input raises at the call.
     """
     _check_arities(arities)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    trees = [["x"]]
-    for m in range(1, n + 1):
-        level = []
-        for index, a in enumerate(arities):
-            symbol = op_symbol(index)
-            level.extend(symbol + forest for forest in _forests(trees, a, m - 1))
-        trees.append(level)
-    return trees[n]
+    ops = sorted((op_symbol(index), a) for index, a in enumerate(arities))
+    # levels[m]: the sorted words of size m; upto[b]: the (word, size)
+    # pairs of every word of size <= b, sorted by word
+    levels, upto = [["x"]], [[("x", 0)]]
+    for m in range(1, n):
+        levels.append(list(chain.from_iterable(_sorted_chunks(ops, levels, upto, m))))
+        upto.append(sorted(upto[-1] + [(word, m) for word in levels[m]]))
+    return chain.from_iterable(_sorted_chunks(ops, levels, upto, n)) if n else iter(levels[0])
 
 
-def _forests(trees: list[list[str]], slots: int, budget: int):
-    """Yield the concatenated words of every sequence of `slots` trees
-    with `budget` internal nodes in all, drawing on the levels in `trees`."""
-    if slots == 1:
-        yield from trees[budget]
-        return
-    for first in range(budget + 1):
-        heads = trees[first]
-        for tail in _forests(trees, slots - 1, budget - first):
-            for head in heads:
-                yield head + tail
+_CHUNK = 1024  # first children per list comprehension over the last two slots
+
+
+def _sorted_chunks(ops, levels, upto, m: int) -> Iterator[list[str]]:
+    """Yield the words of size m >= 1 in increasing order, in lists, from
+    the sorted levels and pairs of every size below m."""
+
+    def forests(prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
+        firsts = upto[budget]
+        if slots > 2:
+            for first, size in firsts:
+                yield from forests(prefix + first, slots - 1, budget - size)
+            return
+        for start in range(0, len(firsts), _CHUNK):
+            yield [
+                prefix + first + last
+                for first, size in firsts[start : start + _CHUNK]
+                for last in levels[budget - size]
+            ]
+
+    for symbol, a in ops:
+        yield from forests(symbol, a, m - 1)
 
 
 # -- counting sequences relative to a homomorphism law -----------------------

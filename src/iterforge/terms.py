@@ -177,7 +177,7 @@ def validate_word_diophantine(word: str) -> bool:
     """
     if word == "x":
         return True
-    if any(c not in "Vx" for c in word):
+    if word.strip("Vx"):
         return False
     code = run_length_code(word)
     if code is None:

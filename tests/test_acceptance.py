@@ -239,7 +239,7 @@ def test_criterion_15_generalized_catalan():
             assert phi[n] == catalan_general(a, n)
     phi23 = series_mixed([2, 3], 7)
     for n in range(8):
-        trees = enumerate_trees_mixed((2, 3), n)
+        trees = list(enumerate_trees_mixed((2, 3), n))
         assert len(set(trees)) == len(trees) == phi23[n]
     done(15, "generalized counting vs closed form and enumeration")
 

@@ -1,5 +1,6 @@
 """Skein polynomials, collision counts, series, and the convolution relations."""
 
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -38,7 +39,7 @@ from iterforge.polynomials import (
     relation3_estimate,
     skein_levels,
 )
-from iterforge.verify import check_skein
+from iterforge.verify import FAIL, PASS, check_generalized_catalan, check_skein
 
 ONE = SkeinPoly({(0, 0): 1})
 
@@ -263,9 +264,9 @@ def test_series_rejects_bad_arity():
 def test_mixed_arities_match_enumeration():
     phi = series_mixed([2, 3], 7)
     for n in range(7):
-        trees = enumerate_trees_mixed((2, 3), n)
+        trees = list(enumerate_trees_mixed((2, 3), n))
         assert len(set(trees)) == len(trees) == phi[n]
-    assert len(enumerate_trees_mixed((2, 3), 7)) == phi[7]
+    assert len(list(enumerate_trees_mixed((2, 3), 7))) == phi[7]
 
 
 # The nested-tuple enumerator that preceded the prefix-word one, kept as
@@ -324,9 +325,8 @@ DIFFERENTIAL_ARITIES = [(2,), (3,), (2, 2), (2, 3), (2, 3, 4), (2, 3) * 6, (2,) 
 def test_prefix_words_match_tuple_oracle(arities):
     n = 0
     while series_mixed(arities, n)[n] <= 5000:
-        words = enumerate_trees_mixed(arities, n)
-        assert set(words) == {tuple_to_word(t) for t in tuple_trees_mixed(arities, n)}, n
-        assert len(set(words)) == len(words)
+        words = list(enumerate_trees_mixed(arities, n))
+        assert words == sorted(tuple_to_word(t) for t in tuple_trees_mixed(arities, n)), n
         assert all(count_word_operations(w, arities) == n for w in words)
         n += 1
     assert n >= 2
@@ -353,10 +353,49 @@ def test_enumeration_rejects_bad_input():
         enumerate_trees_mixed((2,), -1)
 
 
+def test_enumeration_streams_level_n():
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_trees_mixed((2, 3), 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == series_mixed([2, 3], 7)[7] == 312066
+    # holding level 7 as a list peaks near 27 MB
+    assert peak < 12 * 10**6, peak
+
+
+def _corrupt(words: list, kind: str, at: int) -> None:
+    if kind == "repeat":
+        words[at + 1] = words[at]
+    elif kind == "drop":
+        del words[at]
+    else:
+        words[at], words[at + 1] = words[at + 1], words[at]
+
+
+def test_generalized_catalan_check_catches_bad_streams(monkeypatch):
+    universe = Universe(1)
+    assert check_generalized_catalan(universe, 9, 7).status == PASS
+    enumerate_words = polynomials.enumerate_trees_mixed
+    # position 4095 puts the fault across the check's batch boundary
+    for kind in ("repeat", "drop", "swap"):
+        for at in (5, 4095):
+
+            def corrupted(arities, n, kind=kind, at=at):
+                words = list(enumerate_words(arities, n))
+                if n == 7:
+                    _corrupt(words, kind, at)
+                return iter(words)
+
+            monkeypatch.setattr(polynomials, "enumerate_trees_mixed", corrupted)
+            assert check_generalized_catalan(universe, 9, 7).status == FAIL, (kind, at)
+
+
 @settings(deadline=None, database=None)
 @given(st.lists(st.integers(2, 5), min_size=1, max_size=3).map(tuple), st.integers(0, 4))
 def test_enumeration_counts_agree(arities, n):
-    words = enumerate_trees_mixed(arities, n)
+    words = list(enumerate_trees_mixed(arities, n))
     assert len(words) == series_mixed(arities, n)[n]
     assert len(set(words)) == len(words)
 
