@@ -28,7 +28,7 @@ class UsageError(Exception):
 
 
 MAX_ORDER_CAP = 9
-MAX_WORD_ORDER = 400  # parse_word and skein recurse once per V
+MAX_WORD_ORDER = 400  # skein and skein_q recurse once per V
 
 
 def _universe(order: int) -> Universe:

@@ -287,8 +287,11 @@ def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> Iterator[str]:
     their first differing tree.  Taking the operations in symbol order,
     and each child, first child outermost, in word order from the words of
     every size that fit the remaining budget, therefore yields sorted
-    words.  The argument checks and the lower levels run before this
-    returns, so bad input raises at the call.
+    words.  A first child that spends the whole budget forces a leaf into
+    every later slot; such words are gathered into lists during the same
+    walk, which changes how the words are packed but not their order.  The
+    argument checks and the lower levels run before this returns, so bad
+    input raises at the call.
     """
     _check_arities(arities)
     if n < 0:
@@ -308,18 +311,36 @@ _CHUNK = 1024  # first children per list comprehension over the last two slots
 
 def _sorted_chunks(ops, levels, upto, m: int) -> Iterator[list[str]]:
     """Yield the words of size m >= 1 in increasing order, in lists, from
-    the sorted levels and pairs of every size below m."""
+    the sorted levels and pairs of every size below m.
+
+    Where more than two slots remain, a first child that spends the whole
+    budget leaves only leaves to follow, so its word is complete at once.
+    A run of such first children goes into one list, yielded before the
+    walk descends into the next first child that leaves budget over and
+    once more at the end: the lists concatenate in walk order, so the
+    words stay strictly increasing.
+    """
 
     def forests(prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
         firsts = upto[budget]
         if slots > 2:
+            batch, leaves = [], "x" * (slots - 1)
             for first, size in firsts:
+                if size == budget:
+                    batch.append(prefix + first + leaves)
+                    continue
+                if batch:
+                    yield batch
+                    batch = []
                 yield from forests(prefix + first, slots - 1, budget - size)
+            if batch:
+                yield batch
             return
         for start in range(0, len(firsts), _CHUNK):
             yield [
-                prefix + first + last
+                head + last
                 for first, size in firsts[start : start + _CHUNK]
+                for head in (prefix + first,)
                 for last in levels[budget - size]
             ]
 

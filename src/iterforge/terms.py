@@ -101,29 +101,27 @@ def parse_word(word: str) -> Term:
     """Parse a prefix word back into the unique term it renders.
 
     Raises MalformedWord unless the string is exactly one well-formed
-    term over the alphabet {V, x}.
+    term over the alphabet {V, x}.  Nothing recurses, so any depth
+    parses: one pass counts the open argument slots from the left and
+    stops at the first fault, a second builds the term from the right on
+    a stack.
     """
-    pos = 0
-    limit = len(word)
-
-    def expr() -> Term:
-        nonlocal pos
-        if pos >= limit:
-            raise MalformedWord(f"{word!r}: word ends while arguments are missing")
-        c = word[pos]
-        pos += 1
-        if c == "x":
-            return LEAF
-        if c == "V":
-            left = expr()
-            right = expr()
-            return Term(left, right)
-        raise MalformedWord(f"{word!r}: invalid symbol {c!r} at position {pos - 1}")
-
-    t = expr()
-    if pos != limit:
-        raise MalformedWord(f"{word!r}: trailing symbols after position {pos - 1}")
-    return t
+    open_slots = 1
+    for position, symbol in enumerate(word):
+        if not open_slots:
+            raise MalformedWord(f"{word!r}: trailing symbols after position {position - 1}")
+        if symbol == "x":
+            open_slots -= 1
+        elif symbol == "V":
+            open_slots += 1
+        else:
+            raise MalformedWord(f"{word!r}: invalid symbol {symbol!r} at position {position}")
+    if open_slots:
+        raise MalformedWord(f"{word!r}: word ends while arguments are missing")
+    stack = []
+    for symbol in reversed(word):
+        stack.append(LEAF if symbol == "x" else Term(stack.pop(), stack.pop()))
+    return stack[0]
 
 
 @dataclass(frozen=True)

@@ -318,7 +318,7 @@ def count_word_operations(word: str, arities: tuple[int, ...]) -> int:
     return operations
 
 
-DIFFERENTIAL_ARITIES = [(2,), (3,), (2, 2), (2, 3), (2, 3, 4), (2, 3) * 6, (2,) * 30]
+DIFFERENTIAL_ARITIES = [(2,), (3,), (5,), (2, 2), (2, 3), (2, 4), (2, 3, 4), (2, 3) * 6, (2,) * 30]
 
 
 @pytest.mark.parametrize("arities", DIFFERENTIAL_ARITIES)
@@ -363,6 +363,23 @@ def test_enumeration_streams_level_n():
     assert count == series_mixed([2, 3], 7)[7] == 312066
     # holding level 7 as a list peaks near 27 MB
     assert peak < 12 * 10**6, peak
+
+
+def test_level_n_comes_in_few_lists(monkeypatch):
+    sizes = []
+    sorted_chunks = polynomials._sorted_chunks
+
+    def counted(ops, levels, upto, m):
+        for chunk in sorted_chunks(ops, levels, upto, m):
+            if m == 7:
+                sizes.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(polynomials, "_sorted_chunks", counted)
+    assert sum(1 for _ in enumerate_trees_mixed((2, 3), 7)) == sum(sizes) == 312066
+    # one list per ternary first child that spends the whole budget would
+    # make 39,698 lists, 34,970 of them holding one word
+    assert len(sizes) < 10_000, len(sizes)
 
 
 def _corrupt(words: list, kind: str, at: int) -> None:

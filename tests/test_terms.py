@@ -53,6 +53,36 @@ def test_parse_examples():
         parse_word("Vxy")
 
 
+@pytest.mark.parametrize(
+    "word, message",
+    [
+        ("", "'': word ends while arguments are missing"),
+        ("V", "'V': word ends while arguments are missing"),
+        ("Vx", "'Vx': word ends while arguments are missing"),
+        ("xx", "'xx': trailing symbols after position 0"),
+        ("xV", "'xV': trailing symbols after position 0"),
+        ("Vxxx", "'Vxxx': trailing symbols after position 2"),
+        ("a", "'a': invalid symbol 'a' at position 0"),
+        ("Va", "'Va': invalid symbol 'a' at position 1"),
+        ("Vxa", "'Vxa': invalid symbol 'a' at position 2"),
+        ("xa", "'xa': trailing symbols after position 0"),
+        ("VxxVxx", "'VxxVxx': trailing symbols after position 2"),
+    ],
+)
+def test_parse_word_error_messages(word, message):
+    with pytest.raises(MalformedWord) as caught:
+        parse_word(word)
+    assert str(caught.value) == message
+
+
+def test_parse_word_has_no_depth_limit():
+    for word in ("V" * 5000 + "x" * 5001, "Vx" * 5000 + "x"):
+        t = parse_word(word)
+        assert t.order == 5000 and render_word(t) == word
+    with pytest.raises(MalformedWord):
+        parse_word("V" * 5000 + "x" * 5000)
+
+
 def test_render_examples():
     assert render_word(LEAF) == "x"
     assert render_word(node(LEAF, node(LEAF, LEAF))) == "VxVxx"
