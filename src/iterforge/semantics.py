@@ -24,15 +24,19 @@ integer labels only and builds no `Term`.  The log stays replayable: every
 entry names the rule and the already-merged pair it came from.
 
 Classifying an identity needs only a verdict's kind: the cancellation
-closure stops at its first merge below the defining order.  A witness
-chain costs a second closure, so `classify_identity` finds it for a
-reducible identity, and `column_pair_survey` returns kinds only.
+closure stops at its first merge below the defining order, and walks its
+log lowest order first, so that a descending cancellation is not queued
+behind the upward tableau cascade.  A witness chain costs a second
+closure, so `classify_identity` finds it for a reducible identity, and
+`column_pair_survey` returns kinds only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import combinations
+from heapq import heapify, heappop, heappush
+from itertools import combinations, islice
 from typing import NamedTuple
 
 from .errors import (
@@ -223,6 +227,15 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
     reaching the end of the log is the fixpoint.  Returns True, leaving the
     closure unfinished, as soon as a cancellation logs a merge below order
     `below`.
+
+    `close` walks in log order, which the log digests and `replay` pin.
+    With `below` > 0 the entries are walked lowest order first, so that a
+    cancellation that descends is not queued behind the upward cascade.
+    The closure reached is the same, and each table still applies each
+    effective union once: the unions of one order form a forest, so no
+    order of applying them makes one a no-op.  The cursor moves to the end
+    of the log at the fixpoint; an early exit leaves it where it was, and
+    walking those entries again merges nothing new.
     """
     config = state.config
     bound = config.max_order
@@ -242,9 +255,9 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
         for i in range(end, len(log)):
             if log[i].order < below:
                 return True
-    while state.cursor < len(log):
-        m, a, b, _, _ = log[state.cursor]
-        state.cursor += 1
+    # a list's iterator also yields the entries appended while it runs
+    walk = _lowest_first(log, state.cursor) if below else islice(log, state.cursor, None)
+    for m, a, b, _, _ in walk:
         if m < bound:
             part = partitions[m + 1]
             owner = part.owner
@@ -260,7 +273,21 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
             for i in range(end, len(log)):
                 if log[i].order < below:
                     return True
+    state.cursor = len(log)
     return False
+
+
+def _lowest_first(log: list[Merge], start: int) -> Iterator[Merge]:
+    """The log's entries from start on, lowest order first and, within an
+    order, in log order, counting those appended while the walk runs."""
+    pending = [(log[i].order, i) for i in range(start, len(log))]
+    heapify(pending)
+    queued = len(log)
+    while pending:
+        yield log[heappop(pending)[1]]
+        for i in range(queued, len(log)):
+            heappush(pending, (log[i].order, i))
+        queued = len(log)
 
 
 class _SignatureTables:

@@ -382,6 +382,35 @@ def test_level_n_comes_in_few_lists(monkeypatch):
     assert len(sizes) < 10_000, len(sizes)
 
 
+def test_level_n_streams_from_plain_lower_levels():
+    # (word, size) tuples for the lower levels peak near 9 MB here, plain
+    # word and size lists near 4.1 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_trees_mixed((2, 3), 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 312066
+    assert peak < 6 * 10**6, peak
+
+
+def test_level_n_lists_are_capped(monkeypatch):
+    sizes = []
+    sorted_chunks = polynomials._sorted_chunks
+
+    def counted(ops, levels, upto, m):
+        for chunk in sorted_chunks(ops, levels, upto, m):
+            if m == 7:
+                sizes.append(len(chunk))
+            yield chunk
+
+    monkeypatch.setattr(polynomials, "_sorted_chunks", counted)
+    assert sum(1 for _ in enumerate_trees_mixed((2, 3), 7)) == sum(sizes) == 312066
+    # the leaf first child over level 6 alone made one list of 40,626 words
+    assert max(sizes) <= 8192, max(sizes)
+
+
 def _corrupt(words: list, kind: str, at: int) -> None:
     if kind == "repeat":
         words[at + 1] = words[at]

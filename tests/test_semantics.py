@@ -49,6 +49,7 @@ from iterforge.semantics import (
 )
 from iterforge.render import closure_record, closure_text
 from iterforge.semantics import _saturate as worklist_saturate
+from iterforge.semantics import _seed, _verdict_kind
 from iterforge.terms import LEAF, Term, substitute_cherry
 
 ORDER3_PAIRS = list(combinations(range(1, 6), 2))
@@ -758,6 +759,21 @@ def test_resumed_cancellation_closure_matches_one_pass(universe):
         expected = close(state.spec, config, universe)
         assert all(state.classes(m) == expected.classes(m) for m in range(7)), (p, q)
         assert replay(universe, state), (p, q)
+
+
+def test_lowest_first_verdicts_match_fifo_closure(universe):
+    for pair in combinations(range(1, catalan(4) + 1), 2):
+        kind = _verdict_kind(universe, IdentitySpec.of(4, pair), 8)
+        assert kind == full_closure_verdict(universe, 4, pair, 8).kind, pair
+
+
+def test_lowest_first_verdict_stops_early():
+    # walked in log order, this closure logs 15,778 entries before its
+    # first merge below order 4
+    universe = Universe(10)
+    state = _seed(IdentitySpec.of(4, (6, 12)), ClosureConfig(10, MODE_AB, unicity=True), universe)
+    assert worklist_saturate(state, universe, below=4)
+    assert len(state.log) < 2000, len(state.log)
 
 
 # -- closure laws ------------------------------------------------------------
