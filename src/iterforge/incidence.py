@@ -13,11 +13,10 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from functools import cached_property, reduce
-from fractions import Fraction
 from math import comb
 from operator import or_
+from typing import NamedTuple
 
 from .errors import OrderMismatch
 from .tableaux import Universe, t_nk
@@ -33,15 +32,19 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-@dataclass(frozen=True)
 class IncidenceMatrix:
     """Symmetric 0/1 matrix over labels 1..S_n, diagonal included, held as
     line signatures: delta(i, j) = 1 iff the signatures of i and j share a
-    line.  Mode A reads the n lines of A_n, mode AB adds the two of B_n."""
+    line.  Mode A reads the n lines of A_n, mode AB adds the two of B_n.
 
-    order: int
-    mode: str
-    signatures: tuple[int, ...]  # signatures[i-1]: the lines that hold label i
+    Immutable; a plain class, not a tuple, so that it can keep `rows`."""
+
+    def __init__(self, order: int, mode: str, signatures: tuple[int, ...]):
+        # signatures[i-1]: the lines that hold label i
+        vars(self).update(order=order, mode=mode, signatures=signatures)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: an IncidenceMatrix is immutable")
 
     @property
     def size(self) -> int:
@@ -131,8 +134,7 @@ def t_nk_aplusb(n: int, k: int) -> int:
     return t_nk(n, k) + 2 * (t_nk(n - 1, k - 1) - t_nk(n - 1, k))
 
 
-@dataclass(frozen=True)
-class FrequencyRow:
+class FrequencyRow(NamedTuple):
     n: int
     s_n: int
     i_n_matrix: int | None
@@ -148,6 +150,7 @@ def frequency_report(n_max: int, universe: Universe | None = None) -> list[Frequ
     Ratios are exact rationals; the matrix column is filled whenever a
     universe can supply the order, the exponential column is display-only.
     """
+    from fractions import Fraction
     if n_max < 3:
         raise ValueError("need n_max >= 3")
     out = []

@@ -16,10 +16,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
-from fractions import Fraction
 from itertools import chain
 from math import comb
+from typing import NamedTuple
 
 from .errors import BadArity, IllFoundedRecursion, NonIntegralTerm
 from .tableaux import Universe
@@ -161,11 +160,30 @@ def np_recursion_check(levels) -> bool:
 # -- truncated power series -------------------------------------------------
 
 
-@dataclass(frozen=True)
 class PowerSeries:
-    """Integer power series truncated at a fixed degree; arithmetic exact."""
+    """Integer power series truncated at a fixed degree; arithmetic exact.
 
-    coeffs: tuple[int, ...]
+    Immutable; a plain class, not a tuple, since its `+`, `*` and `[]` are
+    series arithmetic."""
+
+    __slots__ = ("coeffs",)
+
+    def __init__(self, coeffs: tuple[int, ...]):
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to {name!r}: a PowerSeries is immutable")
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash(self.coeffs)
+
+    def __repr__(self) -> str:
+        return f"PowerSeries(coeffs={self.coeffs!r})"
 
     @property
     def degree(self) -> int:
@@ -421,8 +439,7 @@ def catalan_relative(law, base: dict[int, int], degree: int) -> list[int]:
     return values
 
 
-@dataclass(frozen=True)
-class RecurrenceTerm:
+class RecurrenceTerm(NamedTuple):
     n: int
     value: Fraction
     integral: bool
@@ -436,6 +453,7 @@ def weighted_recurrence(
     With strict=True a non-integer term raises NonIntegralTerm; otherwise
     the sequence continues with exact fractions and flags each term.
     """
+    from fractions import Fraction
     if k < 1 or l < 1:
         raise ValueError("need k >= 1 and l >= 1")
     if len(initial) != k:
@@ -472,6 +490,7 @@ def catalan_convolution(lam: int, n: int) -> int:
 
 def _solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
     """Solve a small square linear system exactly; None if singular."""
+    from fractions import Fraction
     size = len(rhs)
     m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
     for col in range(size):
@@ -488,8 +507,7 @@ def _solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[Fractio
     return [m[r][size] for r in range(size)]
 
 
-@dataclass(frozen=True)
-class Relation1Fit:
+class Relation1Fit(NamedTuple):
     lam: int
     coefficients: tuple[int, ...]  # d_j with C(lam, n) = sum_j (-1)^j d_j S_{n-j}
     verified_to: int
@@ -535,12 +553,12 @@ def relation2_check(lam: int, n_max: int) -> bool:
 
 def relation3_estimate(lam: int, n: int) -> tuple[Fraction, Fraction]:
     """(C(lam, n)/S_n, (lam+1)/2^lam): the convolution ratio and its limit."""
+    from fractions import Fraction
     ratio = Fraction(catalan_convolution(lam, n), catalan(n))
     return ratio, Fraction(lam + 1, 2**lam)
 
 
-@dataclass(frozen=True)
-class ConvolutionReport:
+class ConvolutionReport(NamedTuple):
     lam: int
     n: int
     convolution: int

@@ -29,12 +29,15 @@ log lowest order first, so that a descending cancellation is not queued
 behind the upward tableau cascade.  A witness chain costs a second
 closure, so `classify_identity` finds it for a reducible identity, and
 `column_pair_survey` returns kinds only.
+
+The value records (specs, configs, verdicts, reports) are named tuples,
+as `Merge` is: a dataclass would load `inspect` and compile its methods
+with `exec` each time a command imports this module.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import combinations, islice
 from typing import NamedTuple
@@ -58,8 +61,7 @@ SEMANTICALLY_REDUCIBLE = "semantically-reducible"
 ESSENTIAL_UP_TO = "essential-up-to"
 
 
-@dataclass(frozen=True)
-class IdentitySpec:
+class IdentitySpec(NamedTuple):
     """A set of defining label pairs at one order."""
 
     order: int
@@ -71,8 +73,7 @@ class IdentitySpec:
         return cls(order, tuple(normalized))
 
 
-@dataclass(frozen=True)
-class ClosureConfig:
+class ClosureConfig(NamedTuple):
     max_order: int = DEFAULT_CLOSURE_ORDER
     mode: str = MODE_AB  # "A" | "B" | "AB"
     unicity: bool = False
@@ -410,8 +411,7 @@ def implication_pairs(universe: Universe, n: int, k: int) -> tuple[int, tuple[tu
 # -- classification ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: str  # FORMALLY_REDUCIBLE | SEMANTICALLY_REDUCIBLE | ESSENTIAL_UP_TO
     bound: int
     witness: tuple[tuple[int, int, int], ...] | None = None
@@ -558,8 +558,7 @@ def compose_classes(
 # -- bounds and surveys ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundsReport:
+class BoundsReport(NamedTuple):
     order: int
     classnumber: int
     lower_bound: int  # S_{n-1}
@@ -577,8 +576,7 @@ def unicity_bounds_check(universe: Universe, state: ClosureState) -> BoundsRepor
     return BoundsReport(n, h, lower, min_size, h >= lower and min_size <= 3)
 
 
-@dataclass(frozen=True)
-class ColumnSurvey:
+class ColumnSurvey(NamedTuple):
     order: int
     bound: int
     column_pairs: tuple[tuple[int, int], ...]
@@ -636,8 +634,7 @@ def order4_sample_formula(n: int) -> int:
     return catalan(n) - 2 * (4 ** (n - 3) - 1) // 3 + (n - 2) * (n - 3) // 2
 
 
-@dataclass(frozen=True)
-class FormulaSurvey:
+class FormulaSurvey(NamedTuple):
     bound: int
     expected: tuple[int, ...]  # formula values for orders 3..bound
     sequences: dict[tuple[int, int], tuple[int, ...]]

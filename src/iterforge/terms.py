@@ -6,11 +6,16 @@ a full binary tree with n internal nodes.  Its prefix word spells the
 tree with "V" for an application and "x" for a variable, so the order-3
 term V(V(x,x), V(x,x)) prints as "VVxxVxx".  Leaf positions are numbered
 1..n+1 from the left throughout.
+
+Every command imports this module, so its one record, `RunLengthCode`, is
+a `collections.namedtuple` subclass, which loads no module: a dataclass
+would load `inspect` and `typing.NamedTuple` would load `typing` at every
+start.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from math import comb
 
@@ -124,11 +129,11 @@ def parse_word(word: str) -> Term:
     return stack[0]
 
 
-@dataclass(frozen=True)
-class RunLengthCode:
-    """Alternating (V-run, x-run) lengths of a word, leftmost block first."""
+class RunLengthCode(namedtuple("RunLengthCode", "pairs")):
+    """Alternating (V-run, x-run) lengths of a word, leftmost block first:
+    pairs is a tuple of (a, b) pairs."""
 
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @property
     def k(self) -> int:

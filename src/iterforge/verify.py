@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import combinations, islice, product
 from operator import lt
+from typing import NamedTuple
 
 from . import incidence, polynomials, semantics, tableaux, terms
 from .errors import MalformedWord
@@ -134,18 +134,23 @@ CLOSURE_GOLDENS = {
 }
 
 
-@dataclass
 class Check:
-    id: str
-    description: str
-    status: str
-    expected: str
-    computed: str
-    elapsed_ms: float = 0.0
+    """One check's outcome; `run_verify` sets elapsed_ms once the check ran."""
+
+    __slots__ = ("id", "description", "status", "expected", "computed", "elapsed_ms")
+
+    def __init__(
+        self, id: str, description: str, status: str, expected: str, computed: str, elapsed_ms: float = 0.0
+    ):
+        self.id = id
+        self.description = description
+        self.status = status
+        self.expected = expected
+        self.computed = computed
+        self.elapsed_ms = elapsed_ms
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     max_order: int
     closure_order: int
     checks: list[Check]

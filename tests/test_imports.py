@@ -1,5 +1,6 @@
-"""The package exports its names lazily, and each command loads only the
-engine modules it uses."""
+"""The package exports its names lazily. Each command loads only the engine
+modules it uses, never `dataclasses` or `inspect`, and `fractions` only
+where it builds a Fraction."""
 
 import importlib
 import json
@@ -53,16 +54,23 @@ COMMANDS = [
     (["skein", "4", "--format", "json"], WITH_POLYNOMIALS),
     (["catalan", "classic", "8"], WITH_POLYNOMIALS),
     (["catalan", "mixed", "2,3", "8", "--format", "csv"], WITH_POLYNOMIALS),
+    (["catalan", "convolution", "2", "10"], WITH_POLYNOMIALS),
     (["verify", "--order", "4"], EVERY_MODULE),
 ]
 
-# run one command through cli.main in this interpreter, then list the
-# package's modules on stderr
+# the commands that build a Fraction, as argv prefixes
+FRACTION_COMMANDS = (["verify"], ["catalan", "convolution"])
+
+# run one command through cli.main in this interpreter, then list on stderr
+# the modules it loaded beyond those a bare `python -c pass` has, site hooks
+# included, so that a module a hook preloads decides nothing
 PROBE = """
-import json, sys
+import sys
+bare = set(sys.modules)
+import json
 from iterforge.cli import main
 code = main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.split(".")[0] == "iterforge")]), file=sys.stderr)
+print(json.dumps([code, sorted(set(sys.modules) - bare)]), file=sys.stderr)
 """
 
 
@@ -77,7 +85,9 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, modules):
     )
     code, loaded = json.loads(proc.stderr.strip().splitlines()[-1])
     assert code == 0
-    assert set(loaded) == modules
+    assert {m for m in loaded if m.split(".")[0] == "iterforge"} == modules
+    assert not {"dataclasses", "inspect"} & set(loaded)
+    assert ("fractions" in loaded) == any(argv[: len(cmd)] == cmd for cmd in FRACTION_COMMANDS)
 
 
 def test_importing_the_cli_loads_no_engine_beyond_tableaux():
