@@ -3,10 +3,11 @@
 Each subcommand parses its arguments, calls the library for its result and
 hands that result to `render`, the one module that turns results into
 text, JSON or CSV; `_emit` prints the string or writes it to `--out`.
-A command imports only the engine modules it uses: `tableaux` and `terms`
-load with this module, and each command imports what it needs from
-`incidence`, `semantics`, `polynomials` or `verify` inside its function,
-so a cold process does not compile the modules its command never runs.
+A command imports only the engine modules it uses: `terms` loads with this
+module, `tableaux` with the first universe a command builds, and each
+command imports what it needs from `incidence`, `semantics`,
+`polynomials` or `verify` inside its function, so a cold process does not
+compile the modules its command never runs.
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 domain
 error.
 """
@@ -19,7 +20,6 @@ import sys
 
 from . import render
 from .errors import EngineError
-from .tableaux import CatalogCache, Universe
 from .terms import ballot_row, parse_word
 
 
@@ -31,7 +31,9 @@ MAX_ORDER_CAP = 9
 MAX_WORD_ORDER = 400  # skein and skein_q recurse once per V
 
 
-def _universe(order: int) -> Universe:
+def _universe(order: int):
+    from .tableaux import CatalogCache, Universe
+
     return Universe(max(order, 1), cache=CatalogCache())
 
 

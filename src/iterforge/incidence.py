@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
@@ -39,8 +40,8 @@ class IncidenceMatrix:
 
     Immutable; a plain class, not a tuple, so that it can keep `rows`."""
 
-    def __init__(self, order: int, mode: str, signatures: tuple[int, ...]):
-        # signatures[i-1]: the lines that hold label i
+    def __init__(self, order: int, mode: str, signatures: Sequence[int]):
+        # signatures[i-1]: the lines that hold label i; read only
         vars(self).update(order=order, mode=mode, signatures=signatures)
 
     def __setattr__(self, name: str, value) -> None:

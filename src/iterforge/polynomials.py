@@ -18,11 +18,13 @@ from collections import Counter
 from collections.abc import Iterator
 from itertools import chain
 from math import comb
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadArity, IllFoundedRecursion, NonIntegralTerm
-from .tableaux import Universe
 from .terms import Term, ballot_row, catalan
+
+if TYPE_CHECKING:
+    from .tableaux import Universe
 
 
 class SkeinPoly:

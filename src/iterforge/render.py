@@ -11,9 +11,14 @@ the text, CSV and JSON forms alike.
 
 from __future__ import annotations
 
-import json
-
 FORMATS = ("text", "json", "csv")
+
+
+def _json(record, **options) -> str:
+    """json.dumps, with the module loaded only by the commands that print JSON."""
+    import json
+
+    return json.dumps(record, **options)
 
 
 def term_to_nested(t):
@@ -39,7 +44,7 @@ def catalog(cat, fmt: str) -> str:
     labels = range(1, len(cat) + 1)
     if fmt == "json":
         entries = [{"label": i, "word": cat.word(i), "term": term_to_nested(cat.term(i))} for i in labels]
-        return json.dumps({"order": cat.order, "entries": entries}, indent=2)
+        return _json({"order": cat.order, "entries": entries}, indent=2)
     if fmt == "csv":
         return "\n".join(["label,word", *(f"{i},{cat.word(i)}" for i in labels)])
     width = len(str(len(cat)))
@@ -58,7 +63,7 @@ def tableau_text(rows) -> str:
 def tableau(order: int, mode: str, rows, fmt: str) -> str:
     """A label grid: the rows of A_n, B_n or both."""
     if fmt == "json":
-        return json.dumps({"order": order, "mode": mode, "rows": [list(row) for row in rows]})
+        return _json({"order": order, "mode": mode, "rows": [list(row) for row in rows]})
     if fmt == "csv":
         return _grid(rows, ",")
     return tableau_text(rows)
@@ -93,7 +98,7 @@ def incidence(matrix, fmt: str) -> str:
             "total": matrix.total(),
             "total_unordered": matrix.total_unordered(),
         }
-        return json.dumps(record)
+        return _json(record)
     lines = [" ".join(row) for row in bits]
     lines.append(f"I_{matrix.order} = {matrix.total()}")
     return "\n".join(lines)
@@ -147,7 +152,7 @@ def closure_text(state) -> str:
 def closure(state, fmt: str) -> str:
     """A closure: classes, classnumbers and singletons per order."""
     if fmt == "json":
-        return json.dumps(closure_record(state))
+        return _json(closure_record(state))
     if fmt == "csv":
         lines = ["order,classnumber,singletons"]
         for m in range(state.spec.order, state.config.max_order + 1):
@@ -166,7 +171,7 @@ def verdict(n: int, pair: tuple[int, int], result, fmt: str) -> str:
             "bound": result.bound,
             "witness": [list(step) for step in result.witness] if result.witness else None,
         }
-        return json.dumps(record)
+        return _json(record)
     text = str(result)
     if result.witness:
         chain = " -> ".join(f"{i}~{j}@{m}" for m, i, j in result.witness)
@@ -187,7 +192,7 @@ def skein_table(cat, polys, groups, fmt: str) -> str:
             ],
             "collisions": [sorted(labels) for labels in groups.values() if len(labels) > 1],
         }
-        return json.dumps(record)
+        return _json(record)
     lines = [f"{i} {cat.word(i)} {poly}" for i, poly in enumerate(polys, 1)]
     for labels in groups.values():
         if len(labels) > 1:
@@ -203,14 +208,14 @@ def skein_word(word: str, poly, fmt: str) -> str:
             "polynomial": str(poly),
             "coefficients": [[s, t, c] for (s, t), c in sorted(poly.coeffs.items(), reverse=True)],
         }
-        return json.dumps(record)
+        return _json(record)
     return str(poly)
 
 
 def sequence(variant: str, values, fmt: str, **params) -> str:
     """A counting sequence from index 0; params are the variant's inputs."""
     if fmt == "json":
-        return json.dumps({"variant": variant, **params, "values": values})
+        return _json({"variant": variant, **params, "values": values})
     if fmt == "csv":
         return "\n".join(f"{n},{v}" for n, v in enumerate(values))
     return " ".join(str(v) for v in values)
@@ -219,7 +224,7 @@ def sequence(variant: str, values, fmt: str, **params) -> str:
 def ballot_rows(rows, fmt: str) -> str:
     """Rows 1..N of the ballot triangle."""
     if fmt == "json":
-        return json.dumps({"variant": "ballot", "rows": rows})
+        return _json({"variant": "ballot", "rows": rows})
     return _grid(rows, "," if fmt == "csv" else " ")
 
 
@@ -236,7 +241,7 @@ def convolution(report, fmt: str) -> str:
         "relation3_limit": str(report.relation3_limit),
     }
     if fmt == "json":
-        return json.dumps(record)
+        return _json(record)
     if fmt == "csv":
         return "\n".join(f"{k},{_csv_field(v)}" for k, v in record.items())
     return "\n".join(f"{k}: {v}" for k, v in record.items())
@@ -281,7 +286,7 @@ def report_record(report) -> dict:
 def verify_report(report, fmt: str) -> str:
     """Every check with its status, expected and computed values."""
     if fmt == "json":
-        return json.dumps(report_record(report), indent=2)
+        return _json(report_record(report), indent=2)
     if fmt == "csv":
         return "\n".join(["id,status", *(f"{c.id},{c.status}" for c in report.checks)])
     return report_text(report)

@@ -538,13 +538,13 @@ def compose_classes(
         raise OrderOverflow(
             f"composition order {out_order} exceeds closure bound {state.config.max_order}"
         )
-    labels = universe.catalog(out_order).index  # V(a, b) is the key (p, a, b)
+    cat = universe.catalog(out_order)
     members_p = state.class_members(p, rep_p) if verify else [rep_p]
     members_q = state.class_members(q, rep_q) if verify else [rep_q]
     roots = set()
     for a in members_p:
         for b in members_q:
-            label = labels.get((p, a, b))
+            label = cat.label_at(p, a, b)
             if label is None:
                 raise UnknownLabel(f"no term V(({p},{a}), ({q},{b})) of order {out_order}")
             roots.add(state.find(out_order, label))

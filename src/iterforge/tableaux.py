@@ -1,22 +1,31 @@
 """Canonical labeling of terms per order and the two substitution tableaux.
 
+A term V(L, R) of order n, with L of order lo and labels la of L and rb of
+R, has the key (lo, la, rb).  The keys of order n rank one to one onto
+0..S_n-1 as off[lo] + (la-1)*S_{n-1-lo} + (rb-1), where off[lo] =
+sum_{i<lo} S_i*S_{n-1-i} (Knuth, TAOCP 4A 7.2.1.6), so a level is two
+arrays: `rank_to_label` and its inverse `label_to_rank`.
+
 Level n is built from level n-1 by label arithmetic alone.  Row k of the
 substitution grid A_n plants Vxx at leaf k of every (n-1)-term V(L, R) in
 label order, where L has order lo: the result is V(A_{lo+1}[k][L], R) when
 k <= lo+1, else V(L, A_{ro+1}[k-lo-1][R]), read off grids of lower orders.
-Keyed by (left order, left label, right label), the results get labels
-1..S_n at first sight in a row-major scan.  Tableau B_n holds the root
-extensions V(J, x) and V(x, J): the keys (n-1, J, 1) and (0, 1, J).
-A label's signature is the mask of the n+2 lines of A_n and B_n that hold
-it; multiplicities, line intersections and incidence are read from it.
+The results get labels 1..S_n at first sight in a row-major scan.  Tableau
+B_n holds the root extensions V(J, x) and V(x, J): the last S_{n-1} ranks
+and the first S_{n-1}.  A label's signature is the mask of the n+2 lines
+of A_n and B_n that hold it, built by the cherry recursion; multiplicities,
+line intersections and incidence are read from it.
 """
 
 from __future__ import annotations
 
 import os
+from array import array
 from collections import Counter
 from functools import cached_property
+from itertools import compress
 from math import comb
+from operator import not_
 from pathlib import Path
 
 from .errors import UnknownLabel
@@ -26,31 +35,75 @@ DEFAULT_MAX_ORDER = 9
 CONSTRUCTION_VERSION = 1
 
 
+def _tuple_rows(rows, size: int) -> tuple[tuple[int, ...], ...]:
+    """Label arrays as tuples.  A tuple built from an array boxes a fresh int
+    per cell, so the cells map through one shared int per label."""
+    ints = list(range(size + 1))
+    return tuple(tuple(map(ints.__getitem__, row)) for row in rows)
+
+
 class Catalog:
     """All terms of one order, listed by label 1..S_n.
 
-    The build stores each label's key and decomposition.  `terms` and
-    `words` are a view, decoded from the lower catalogs once, on first use.
+    The build stores the rank table, its inverse and the rows of A_n as
+    arrays.  Decompositions, the tableaux as tuples, `terms` and `words` are
+    views, decoded once, on first use.
     """
 
-    def __init__(self, order: int, index: dict[tuple[int, int, int], int], lower: tuple[Catalog, ...]):
+    def __init__(self, order: int, lower: tuple[Catalog, ...]):
         self.order = order
-        self.index = index  # in label order: first sightings hand out the labels
-        self.decompositions = tuple((lo, la, order - 1 - lo, rb) for lo, la, rb in index)
         self._lower = lower
+        self._sizes = [len(cat) for cat in lower]
+        # offsets[lo]: the first rank whose left flank has order lo
+        self.offsets = [0]
+        for lo in range(order):
+            self.offsets.append(self.offsets[-1] + self._sizes[lo] * self._sizes[order - 1 - lo])
+        # filled once by Universe, in the row-major scan, and read only after
+        self.rank_to_label = array("I", [0]) * self.offsets[-1]  # 0 until first sight
+        self.label_to_rank = array("I")
+        self.rows: list[array] = []  # the rows of A_n, each of S_{n-1} labels
 
     def __len__(self) -> int:
-        return len(self.index) if self.order else 1
+        return len(self.label_to_rank) if self.order else 1
 
     def check_label(self, label: int) -> None:
         if not 1 <= label <= len(self):
             raise UnknownLabel(f"label {label} not in catalog of order {self.order}")
 
+    def label_at(self, lo: int, la: int, rb: int) -> int | None:
+        """Label of V(L, R), L label la of order lo and R label rb of order
+        n-1-lo; None when there is no such term."""
+        n = self.order
+        if not 0 <= lo < n:
+            return None
+        s_ro = self._sizes[n - 1 - lo]
+        if not (1 <= la <= self._sizes[lo] and 1 <= rb <= s_ro):
+            return None  # the rank would land in another key's place
+        return self.rank_to_label[self.offsets[lo] + (la - 1) * s_ro + rb - 1]
+
+    def _in_label_order(self, by_rank: list) -> tuple:
+        return tuple(map(by_rank.__getitem__, self.label_to_rank))
+
+    @cached_property
+    def decompositions(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Per label: (left order, left label, right order, right label)."""
+        n = self.order
+        ints = list(range(max(self._sizes, default=0) + 1))  # one int per label value
+        by_rank = [
+            (lo, la, n - 1 - lo, rb)
+            for lo in range(n)
+            for la in ints[1 : self._sizes[lo] + 1]
+            for rb in ints[1 : self._sizes[n - 1 - lo] + 1]
+        ]
+        return self._in_label_order(by_rank)
+
     def _decode(self, view: str, leaf, join) -> tuple:
         if self.order == 0:
             return (leaf,)
         parts = [getattr(cat, view) for cat in self._lower]
-        return tuple(join(parts[lo][la - 1], parts[ro][rb - 1]) for lo, la, ro, rb in self.decompositions)
+        n = self.order
+        by_rank = [join(left, right) for lo in range(n) for left in parts[lo] for right in parts[n - 1 - lo]]
+        return self._in_label_order(by_rank)
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
@@ -59,6 +112,16 @@ class Catalog:
     @cached_property
     def words(self) -> tuple[str, ...]:
         return self._decode("words", "x", lambda left, right: "V" + left + right)
+
+    @cached_property
+    def tableau_a(self) -> tuple[tuple[int, ...], ...]:
+        return _tuple_rows(self.rows, len(self))
+
+    @cached_property
+    def tableau_b(self) -> tuple[tuple[int, ...], ...]:
+        # V(J, x) has rank off[n-1] + J - 1, and V(x, J) has rank J - 1
+        width = self._sizes[-1]
+        return _tuple_rows((self.rank_to_label[-width:], self.rank_to_label[:width]), len(self))
 
     @cached_property
     def flank_uses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
@@ -81,8 +144,9 @@ class Catalog:
             raise UnknownLabel(f"term {render_word(t)!r} not of order {self.order}")
         if t.is_leaf:
             return 1
+        left, right = t.left, t.right
         lower = self._lower
-        return self.index[(t.left.order, lower[t.left.order].label_of(t.left), lower[t.right.order].label_of(t.right))]
+        return self.label_at(left.order, lower[left.order].label_of(left), lower[right.order].label_of(right))
 
 
 class CatalogCache:
@@ -118,12 +182,12 @@ class Universe:
             raise ValueError("max_order must be nonnegative")
         self.max_order = max_order
         self.cache = cache
-        self._catalogs: list[Catalog] = [Catalog(0, {}, ())]
-        self._tableaux_a: list[tuple[tuple[int, ...], ...]] = [()]
-        self._tableaux_b: list[tuple[tuple[int, ...], ...]] = [()]
-        self._signatures: dict[int, tuple[int, ...]] = {}
+        self._catalogs: list[Catalog] = [Catalog(0, ())]
+        self._signatures: list[array] = [array("I", [0])]  # per order; the leaf holds no cherry
 
     def ensure(self, order: int) -> None:
+        if order < 0:  # a negative index would read the highest level built
+            raise ValueError("orders start at 0")
         if order > self.max_order:
             raise ValueError(f"order {order} above the configured maximum {self.max_order}")
         while len(self._catalogs) <= order:
@@ -131,27 +195,47 @@ class Universe:
 
     def _build_next_level(self) -> None:
         n = len(self._catalogs)
-        grids = self._tableaux_a
-        index: dict[tuple[int, int, int], int] = {}
-        rows = []
-        for k in range(1, n + 1):
-            row = []
-            for lo, la, ro, rb in self._catalogs[-1].decompositions:
-                if k <= lo + 1:
-                    key = (lo + 1, grids[lo + 1][k - 1][la - 1], rb)
-                else:
-                    key = (lo, la, grids[ro + 1][k - lo - 2][rb - 1])
-                row.append(index.setdefault(key, len(index) + 1))
-            rows.append(tuple(row))
+        cat = Catalog(n, tuple(self._catalogs))
+        to_label, label_of_rank = cat.rank_to_label, cat.rank_to_label.__getitem__
         if n == 1:  # the leaf does not decompose; Vxx planted at its one leaf is V(x, x)
-            index, rows = {(0, 1, 1): 1}, [(1,)]
-        columns = range(1, len(self._catalogs[-1]) + 1)
-        rows_b = (tuple(index[(n - 1, j, 1)] for j in columns), tuple(index[(0, 1, j)] for j in columns))
-        self._catalogs.append(Catalog(n, index, tuple(self._catalogs)))
-        self._tableaux_a.append(tuple(rows))
-        self._tableaux_b.append(rows_b)
+            to_label[0] = 1
+            cat.label_to_rank.append(0)
+            cat.rows.append(array("I", [1]))
+        else:
+            for k in range(1, n + 1):
+                ranks = self._row_ranks(cat, k)
+                # a row holds no label twice, so its unseen ranks are its fresh labels
+                fresh = list(compress(ranks, map(not_, map(label_of_rank, ranks))))
+                for label, rank in enumerate(fresh, len(cat.label_to_rank) + 1):
+                    to_label[rank] = label
+                cat.label_to_rank.extend(fresh)
+                cat.rows.append(array("I", map(label_of_rank, ranks)))
+        self._catalogs.append(cat)
         if self.cache is not None:
-            self.cache.store(self._catalogs[n])
+            self.cache.store(cat)
+
+    def _row_ranks(self, cat: Catalog, k: int) -> array:
+        """The ranks of row k of A_n, one per (n-1)-term, in label order."""
+        n, off, size, cats = cat.order, cat.offsets, cat._sizes, self._catalogs
+        ranks: list[int] = []  # first in the rank order of level n-1, block by block
+        for lo in range(n - 1):
+            ro = n - 2 - lo
+            if k <= lo + 1:  # V(A_{lo+1}[k][L], R): rank off[lo+1] + (a-1)*S_ro + (rb-1)
+                column = cats[lo + 1].rows[k - 1]
+                if size[ro] == 1:
+                    ranks.extend(map((off[lo + 1] - 1).__add__, column))
+                    continue
+                for a in column:
+                    start = off[lo + 1] + (a - 1) * size[ro]
+                    ranks.extend(range(start, start + size[ro]))
+            else:  # V(L, A_{ro+1}[k-lo-1][R]): rank off[lo] + (la-1)*S_{ro+1} + (a-1)
+                column, step = cats[ro + 1].rows[k - lo - 2], size[ro + 1]
+                if len(column) == 1:
+                    ranks.extend(range(off[lo] + column[0] - 1, off[lo + 1], step))
+                    continue
+                for start in range(off[lo] - 1, off[lo + 1] - 1, step):
+                    ranks.extend(map(start.__add__, column))
+        return array("I", map(ranks.__getitem__, cats[n - 1].label_to_rank))
 
     def catalog(self, order: int) -> Catalog:
         self.ensure(order)
@@ -161,15 +245,13 @@ class Universe:
         """The n rows of A_n, each of S_{n-1} labels."""
         if order < 1:
             raise ValueError("tableaux start at order 1")
-        self.ensure(order)
-        return self._tableaux_a[order]
+        return self.catalog(order).tableau_a
 
     def tableau_b(self, order: int) -> tuple[tuple[int, ...], ...]:
         """The two rows of B_n, each of S_{n-1} labels: V(J, x), then V(x, J)."""
         if order < 1:
             raise ValueError("tableaux start at order 1")
-        self.ensure(order)
-        return self._tableaux_b[order]
+        return self.catalog(order).tableau_b
 
     def grid_aplusb(self, order: int) -> tuple[tuple[int, ...], ...]:
         """Rows of A_n followed by the two rows of B_n."""
@@ -191,18 +273,37 @@ class Universe:
 
     # -- counting ----------------------------------------------------------
 
-    def signatures(self, order: int) -> tuple[int, ...]:
+    def signatures(self, order: int) -> memoryview:
         """Entry i-1: the lines of grid_aplusb(order) that hold label i, as a
-        mask (bit k-1 for row k of A_n, bits n and n+1 for the rows of B_n);
-        read in one pass, once per order."""
-        sigs = self._signatures.get(order)
-        if sigs is None:
-            masks = [0] * len(self.catalog(order))
-            for bit, line in enumerate(self.grid_aplusb(order)):
-                for label in line:
-                    masks[label - 1] |= 1 << bit
-            sigs = self._signatures[order] = tuple(masks)
-        return sigs
+        mask (bit k-1 for row k of A_n, bits n and n+1 for the rows of B_n).
+
+        Row k of A_n holds the terms with a cherry at leaf k, so the A part
+        of V(L, R) is A(L) | A(R) << (lo+1), with A(V(x, x)) = 1; B_n holds
+        the terms whose right (bit n) or left (bit n+1) flank is the leaf.
+        Built once per order, in rank order, and read only."""
+        if order < 1:
+            raise ValueError("tableaux start at order 1")
+        self.ensure(order)
+        sigs = self._signatures
+        while len(sigs) <= order:
+            n = len(sigs)
+            if n == 1:
+                sigs.append(array("I", [0b111]))
+                continue
+            cat = self._catalogs[n]
+            lines_a = [array("I", [sig & ((1 << m) - 1) for sig in sigs[m]]) for m in range(n)]
+            by_rank = array("I")
+            for lo in range(n):
+                ro = n - 1 - lo
+                lines_b = (ro == 0) << n | (lo == 0) << (n + 1)
+                right = [sig << (lo + 1) for sig in lines_a[ro]]
+                if len(right) == 1:
+                    by_rank.extend(map((lines_b | right[0]).__or__, lines_a[lo]))
+                    continue
+                for left in lines_a[lo]:
+                    by_rank.extend(map((left | lines_b).__or__, right))
+            sigs.append(array("I", map(by_rank.__getitem__, cat.label_to_rank)))
+        return memoryview(sigs[order]).toreadonly()
 
     def _a_signatures(self, order: int):
         lines_a = (1 << order) - 1

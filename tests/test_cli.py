@@ -176,6 +176,9 @@ def test_exit_codes(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "skein", "12")
     assert code == 2
+    for mode in ("A", "AB"):  # the leaf lies on no tableau line
+        code, out, err = run_cli(capsys, "incidence", "--order", "0", "--mode", mode)
+        assert (code, out, err) == (3, "", "iterforge: tableaux start at order 1\n")
 
 
 def test_unwritable_output_path_is_domain_error(capsys, tmp_path):

@@ -2,6 +2,7 @@
 modules it uses, never `dataclasses` or `inspect`, and `fractions` only
 where it builds a Fraction."""
 
+import ast
 import importlib
 import json
 import os
@@ -38,20 +39,21 @@ def test_star_import_and_dir_list_every_export():
     assert "__version__" in dir(iterforge)
 
 
-COLD = {"iterforge", "iterforge.cli", "iterforge.errors", "iterforge.render", "iterforge.tableaux", "iterforge.terms"}
+COLD = {"iterforge", "iterforge.cli", "iterforge.errors", "iterforge.render", "iterforge.terms"}
+WITH_TABLEAUX = COLD | {"iterforge.tableaux"}  # every command that builds a universe
 WITH_POLYNOMIALS = COLD | {"iterforge.polynomials"}
-WITH_INCIDENCE = COLD | {"iterforge.incidence"}
+WITH_INCIDENCE = WITH_TABLEAUX | {"iterforge.incidence"}
 WITH_SEMANTICS = WITH_INCIDENCE | {"iterforge.semantics"}
 EVERY_MODULE = WITH_SEMANTICS | WITH_POLYNOMIALS | {"iterforge.verify"}
 
 COMMANDS = [
-    (["enumerate", "--order", "3"], COLD),
-    (["tableau", "--order", "4", "--mode", "B", "--format", "json"], COLD),
+    (["enumerate", "--order", "3"], WITH_TABLEAUX),
+    (["tableau", "--order", "4", "--mode", "B", "--format", "json"], WITH_TABLEAUX),
     (["incidence", "--order", "4", "--mode", "AB"], WITH_INCIDENCE),
     (["closure", "SPEC", "--order", "5", "--unicity"], WITH_SEMANTICS),
     (["classify", "3", "1", "5", "--order", "6"], WITH_SEMANTICS),
     (["skein", "VVxxx"], WITH_POLYNOMIALS),
-    (["skein", "4", "--format", "json"], WITH_POLYNOMIALS),
+    (["skein", "4", "--format", "json"], WITH_POLYNOMIALS | WITH_TABLEAUX),
     (["catalan", "classic", "8"], WITH_POLYNOMIALS),
     (["catalan", "mixed", "2,3", "8", "--format", "csv"], WITH_POLYNOMIALS),
     (["catalan", "convolution", "2", "10"], WITH_POLYNOMIALS),
@@ -88,6 +90,34 @@ def test_a_command_loads_only_the_modules_it_uses(tmp_path, argv, modules):
     assert {m for m in loaded if m.split(".")[0] == "iterforge"} == modules
     assert not {"dataclasses", "inspect"} & set(loaded)
     assert ("fractions" in loaded) == any(argv[: len(cmd)] == cmd for cmd in FRACTION_COMMANDS)
+
+
+# as PROBE, but printing with repr, so that the probe loads no json of its own
+REPR_PROBE = """
+import sys
+bare = set(sys.modules)
+from iterforge.cli import main
+code = main(sys.argv[1:])
+print(repr([code, sorted(set(sys.modules) - bare)]), file=sys.stderr)
+"""
+
+PLAIN_COMMANDS = [
+    [*command, "--format", fmt]
+    for command in (["enumerate", "--order", "4"], ["tableau", "--order", "4"], ["incidence", "--order", "4"])
+    for fmt in ("text", "csv", "json")
+]
+
+
+@pytest.mark.parametrize("argv", PLAIN_COMMANDS, ids=[" ".join(argv) for argv in PLAIN_COMMANDS])
+def test_only_json_output_loads_json(tmp_path, argv):
+    env = dict(os.environ, PYTHONPATH=str(SRC), ITERFORGE_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run(
+        [sys.executable, "-c", REPR_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+    assert code == 0
+    json_modules = [m for m in loaded if m.split(".")[0] in ("json", "_json")]
+    assert bool(json_modules) == (argv[-1] == "json"), json_modules
 
 
 def test_importing_the_cli_loads_no_engine_beyond_tableaux():

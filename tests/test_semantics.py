@@ -16,6 +16,7 @@ from iterforge import (
     IdentitySpec,
     InvalidSpec,
     OrderOverflow,
+    UnknownLabel,
     Universe,
     all_terms,
     catalan,
@@ -445,6 +446,14 @@ def test_compose_classes_order_overflow(universe):
     h3 = class_handle(state, 3, 1)
     with pytest.raises(OrderOverflow):
         compose_classes(universe, state, h3, h3)
+
+
+def test_compose_classes_rejects_a_representative_outside_its_order(universe):
+    state = close(IdentitySpec.of(3, (2, 4)), ClosureConfig(5, "AB", False), universe)
+    # S_0 = S_1 = 1 and S_2 = 2: each of these keys would rank into a neighbouring block
+    for cls_p, cls_q in (((1, 2), (1, 1)), ((1, 1), (1, 2)), ((2, 3), (0, 1)), ((0, 2), (2, 1)), ((1, 0), (1, 1))):
+        with pytest.raises(UnknownLabel):
+            compose_classes(universe, state, cls_p, cls_q, verify=False)
 
 
 # -- cancellation-law consequences -------------------------------------------

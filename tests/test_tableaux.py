@@ -1,5 +1,6 @@
 """Label grids, multiplicities, intersections, and the triangle partitions."""
 
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -188,6 +189,86 @@ def test_signatures_match_row_membership(universe):
             holders = set(line)
             for label in range(1, catalan(n) + 1):
                 assert (sigs[label - 1] >> k & 1) == (label in holders), (n, k + 1, label)
+
+
+def grid_scan_signatures(universe, n):
+    """The line signatures read off the grid in one pass over its cells."""
+    masks = [0] * catalan(n)
+    for bit, line in enumerate(universe.grid_aplusb(n)):
+        for label in line:
+            masks[label - 1] |= 1 << bit
+    return masks
+
+
+def test_cherry_recursion_signatures_match_grid_scan():
+    universe = Universe(11)
+    for n in range(1, 12):
+        assert list(universe.signatures(n)) == grid_scan_signatures(universe, n), n
+
+
+def key_tuple_build(max_order):
+    """The label arithmetic with a dict keyed by (left order, left label,
+    right label) tuples, independent of the rank tables: per order n >= 1,
+    the rows of A_n, the rows of B_n and the dict, in label order."""
+    grids, keys, levels = [()], [()], {}
+    for n in range(1, max_order + 1):
+        index: dict[tuple[int, int, int], int] = {}
+        rows = []
+        for k in range(1, n + 1):
+            row = []
+            for lo, la, rb in keys[-1]:
+                ro = n - 2 - lo
+                if k <= lo + 1:
+                    key = (lo + 1, grids[lo + 1][k - 1][la - 1], rb)
+                else:
+                    key = (lo, la, grids[ro + 1][k - lo - 2][rb - 1])
+                row.append(index.setdefault(key, len(index) + 1))
+            rows.append(tuple(row))
+        if n == 1:  # the leaf has no key; V(x, x) is the one term of order 1
+            index, rows = {(0, 1, 1): 1}, [(1,)]
+        columns = range(1, catalan(n - 1) + 1)
+        rows_b = (tuple(index[(n - 1, j, 1)] for j in columns), tuple(index[(0, 1, j)] for j in columns))
+        grids.append(tuple(rows))
+        keys.append(tuple(index))
+        levels[n] = (tuple(rows), rows_b, index)
+    return levels
+
+
+def test_rank_tables_match_key_tuple_build():
+    universe = Universe(11)
+    for n, (rows_a, rows_b, index) in key_tuple_build(11).items():
+        cat = universe.catalog(n)
+        assert universe.tableau_a(n) == rows_a, n
+        assert universe.tableau_b(n) == rows_b, n
+        decompositions = tuple((lo, la, n - 1 - lo, rb) for lo, la, rb in index)
+        assert universe.decompositions(n) == decompositions, n
+        assert all(cat.label_at(*key) == label for key, label in index.items()), n
+
+
+def test_rank_lookup_outside_the_blocks_has_no_label(universe):
+    cat = universe.catalog(5)  # blocks lo = 0..4, each S_lo * S_{4-lo} keys
+    for lo in range(5):
+        s_lo, s_ro = catalan(lo), catalan(4 - lo)
+        assert cat.label_at(lo, s_lo, s_ro) is not None
+        for la, rb in ((0, 1), (-1, 1), (s_lo + 1, 1), (1, 0), (1, s_ro + 1)):
+            assert cat.label_at(lo, la, rb) is None, (lo, la, rb)
+    for lo in (-1, 5, 6):
+        assert cat.label_at(lo, 1, 1) is None, lo
+    with pytest.raises(ValueError):
+        universe.catalog(-1)  # not the highest level built
+
+
+def test_built_universe_is_compact():
+    # rank tables and A rows as arrays: about 1.8 MB at order 11, where the
+    # key-tuple dicts and decomposition tuples held about 20 MB
+    tracemalloc.start()
+    try:
+        universe = Universe(11)
+        universe.ensure(11)
+        live = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert live < 3_000_000, live
 
 
 def test_catalog_cache_round_trip(tmp_path):
