@@ -372,42 +372,46 @@ def _sorted_chunks(ops, levels, upto, m: int) -> Iterator[list[str]]:
     words.
     """
     t = next((k for k, level in enumerate(levels) if len(level) > _CAP), m)
+    for symbol, a in ops:
+        yield from _forests(levels, upto, t, symbol, a, m - 1)
 
-    def forests(prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
-        words, sizes = upto[budget]
-        if slots > 2:
-            batch, leaves = [], "x" * (slots - 1)
-            for first, size in zip(words, sizes):
-                if size == budget:
-                    batch.append(prefix + first + leaves)
-                    continue
-                if batch:
-                    yield batch
-                    batch = []
-                yield from forests(prefix + first, slots - 1, budget - size)
+
+def _forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
+    """The lists of `_sorted_chunks` for the words that continue prefix with
+    `slots` children spending `budget`; t is the lowest level longer than
+    _CAP.  A module-level generator, not a closure over itself, so no
+    reference cycle keeps the levels alive once the walk is dropped."""
+    words, sizes = upto[budget]
+    if slots > 2:
+        batch, leaves = [], "x" * (slots - 1)
+        for first, size in zip(words, sizes):
+            if size == budget:
+                batch.append(prefix + first + leaves)
+                continue
             if batch:
                 yield batch
-            return
-        # first children whose last-child level is longer than _CAP, by index
-        cuts = [bisect_left(words, first) for first in upto[budget - t][0]] if budget >= t else []
-        start = 0
-        for stop in cuts + [len(words)]:
-            for lo in range(start, stop, _CHUNK):
-                hi = min(lo + _CHUNK, stop)
-                yield [
-                    head + last
-                    for first, size in zip(words[lo:hi], sizes[lo:hi])
-                    for head in (prefix + first,)
-                    for last in levels[budget - size]
-                ]
-            if stop < len(words):
-                head, level = prefix + words[stop], levels[budget - sizes[stop]]
-                for lo in range(0, len(level), _CAP):
-                    yield [head + last for last in level[lo : lo + _CAP]]
-            start = stop + 1
-
-    for symbol, a in ops:
-        yield from forests(symbol, a, m - 1)
+                batch = []
+            yield from _forests(levels, upto, t, prefix + first, slots - 1, budget - size)
+        if batch:
+            yield batch
+        return
+    # first children whose last-child level is longer than _CAP, by index
+    cuts = [bisect_left(words, first) for first in upto[budget - t][0]] if budget >= t else []
+    start = 0
+    for stop in cuts + [len(words)]:
+        for lo in range(start, stop, _CHUNK):
+            hi = min(lo + _CHUNK, stop)
+            yield [
+                head + last
+                for first, size in zip(words[lo:hi], sizes[lo:hi])
+                for head in (prefix + first,)
+                for last in levels[budget - size]
+            ]
+        if stop < len(words):
+            head, level = prefix + words[stop], levels[budget - sizes[stop]]
+            for lo in range(0, len(level), _CAP):
+                yield [head + last for last in level[lo : lo + _CAP]]
+        start = stop + 1
 
 
 # -- counting sequences relative to a homomorphism law -----------------------

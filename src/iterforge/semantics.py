@@ -28,7 +28,9 @@ closure stops at its first merge below the defining order, and walks its
 log lowest order first, so that a descending cancellation is not queued
 behind the upward tableau cascade.  A witness chain costs a second
 closure, so `classify_identity` finds it for a reducible identity, and
-`column_pair_survey` returns kinds only.
+`column_pair_survey` returns kinds only.  Reflecting every term left to
+right maps a closure onto the closure of the mirror identity, so the
+surveys close one identity per mirror orbit.
 
 The value records (specs, configs, verdicts, reports) are named tuples,
 as `Merge` is: a dataclass would load `inspect` and compile its methods
@@ -310,14 +312,26 @@ class _SignatureTables:
 
     def merged(self, state: ClosureState, k: int, a: int, b: int) -> None:
         """Record the merge of a's and b's classes at order k, re-key every
-        label whose key changed, and cancel on each collision."""
+        label whose key changed, and cancel on each collision.
+
+        A label is not re-keyed on a side whose other flank's order is one
+        class in the live partitions, as orders 0 and 1 always are: a
+        collision there could only merge flanks already merged, and the
+        partitions only coarsen."""
         part = self.parts[k]
         moved = part.merge(a, b)
         joined = part.members[part.owner[a]]
+        one_class = [p.count == 1 for p in state.partitions]
+        decomp = self.decomp[k]
         for x in joined if len(joined) == 2 else moved:  # a singleton had no keys
-            self._key(state, k, x, 0)
-            self._key(state, k, x, 1)
+            lo, _, ro, _ = decomp[x - 1]
+            if not one_class[ro]:
+                self._key(state, k, x, 0)
+            if not one_class[lo]:
+                self._key(state, k, x, 1)
         for m in range(k + 1, len(self.parts)):
+            if one_class[m - 1 - k]:  # the other flank of a user of order k
+                continue
             owner_m, members_m = self.parts[m].owner, self.parts[m].members
             for side, uses in enumerate(self.uses[m]):
                 for x in moved:
@@ -607,7 +621,9 @@ def column_pair_survey(universe: Universe, n: int, bound: int = DEFAULT_CLOSURE_
 
     The verdicts are kinds only: each has witness None.  A survey reads no
     witness, and finding one costs a second closure; `classify_identity`
-    gives the witness of one pair on demand."""
+    gives the witness of one pair on demand.  The mirror maps columns to
+    columns and the other pairs to other pairs; one identity per mirror
+    orbit is closed (`_per_orbit`)."""
     if n < 3:
         raise ValueError("survey starts at order 3")
     columns = tuple((min(a, b), max(a, b)) for a, b in zip(*universe.tableau_b(n)))
@@ -615,7 +631,7 @@ def column_pair_survey(universe: Universe, n: int, bound: int = DEFAULT_CLOSURE_
     def verdict(pair: tuple[int, int]) -> Verdict:
         return Verdict(_verdict_kind(universe, IdentitySpec.of(n, pair), bound), bound)
 
-    column_verdicts = tuple(verdict(pair) for pair in columns)
+    column_verdicts = tuple(_per_orbit(universe, n, columns, verdict))
     reducible = incidence_matrix(universe, n, MODE_AB)
     column_set = set(columns)
     other_pairs = tuple(
@@ -624,7 +640,7 @@ def column_pair_survey(universe: Universe, n: int, bound: int = DEFAULT_CLOSURE_
         for j in range(i + 1, reducible.size + 1)
         if (i, j) not in column_set and not reducible.entry(i, j)
     )
-    other_verdicts = tuple(verdict(pair) for pair in other_pairs)
+    other_verdicts = tuple(_per_orbit(universe, n, other_pairs, verdict))
     return ColumnSurvey(n, bound, columns, column_verdicts, other_pairs, other_verdicts)
 
 
@@ -654,16 +670,36 @@ class FormulaSurvey(NamedTuple):
 
 def order4_formula_survey(universe: Universe, bound: int = DEFAULT_CLOSURE_ORDER) -> FormulaSurvey:
     """Classnumber sequences h_3..h_bound of all 91 order-4 identities under
-    the combined-tableau closure, compared against the sample formula."""
+    the combined-tableau closure, compared against the sample formula.
+    The 91 pairs fall into 49 mirror orbits, one closure each."""
     expected = tuple(order4_sample_formula(m) for m in range(3, bound + 1))
-    sequences = {}
-    size = len(universe.catalog(4))
-    for i in range(1, size + 1):
-        for j in range(i + 1, size + 1):
-            spec = IdentitySpec.of(4, (i, j))
-            state = close(spec, ClosureConfig(bound, MODE_AB, unicity=False), universe)
-            sequences[(i, j)] = tuple(state.classnumber(m) for m in range(3, bound + 1))
+    config = ClosureConfig(bound, MODE_AB, unicity=False)
+
+    def sequence(pair: tuple[int, int]) -> tuple[int, ...]:
+        state = close(IdentitySpec.of(4, pair), config, universe)
+        return tuple(state.classnumber(m) for m in range(3, bound + 1))
+
+    pairs = list(combinations(range(1, len(universe.catalog(4)) + 1), 2))
+    sequences = dict(zip(pairs, _per_orbit(universe, 4, pairs, sequence)))
     return FormulaSurvey(bound, expected, sequences)
+
+
+def _per_orbit(universe: Universe, n: int, pairs, compute) -> Iterator:
+    """compute(pair) for each order-n pair, run once per mirror orbit.
+
+    Reflecting every term left to right maps the closure of an identity
+    onto the closure of its mirror image: the tableau lines trade places
+    and the two cancellation laws swap.  So an identity and its image get
+    the same classnumbers and the same verdict kind; each orbit's result
+    is computed for its least pair and read back for the other."""
+    mirror = universe.mirror(n)
+    results: dict[tuple[int, int], object] = {}
+    for i, j in pairs:
+        a, b = mirror[i - 1], mirror[j - 1]
+        least = min((i, j), (min(a, b), max(a, b)))
+        if least not in results:
+            results[least] = compute(least)
+        yield results[least]
 
 
 # -- log replay --------------------------------------------------------------

@@ -124,6 +124,31 @@ class Catalog:
         return _tuple_rows((self.rank_to_label[-width:], self.rank_to_label[:width]), len(self))
 
     @cached_property
+    def mirror(self) -> array:
+        """Per label: the label of its left-right reflection.
+
+        The mirror of V(L, R) is V(mirror(R), mirror(L)), so with L label la
+        of order lo and R label rb of order ro = n-1-lo,
+
+            mirror_n(x) = label_at(ro, mirror_ro(rb), mirror_lo(la)),
+
+        with mirror_0(1) = 1.  (lo, la, rb) are decoded from the rank
+        blocks, not from `decompositions`.  An involution; it maps row k of
+        A_n onto row n+1-k and swaps the two rows of B_n."""
+        if self.order == 0:
+            return array("I", [1])
+        n, off, size = self.order, self.offsets, self._sizes
+        mirrors = [cat.mirror for cat in self._lower]
+        ranks: list[int] = []  # the mirror's rank, rank by rank
+        for lo in range(n):
+            ro = n - 1 - lo
+            # V(mirror(R), mirror(L)) has rank off[ro] + (mirror(R)-1)*S_lo + mirror(L)-1
+            columns = [off[ro] + (m - 1) * size[lo] - 1 for m in mirrors[ro]]
+            for m in mirrors[lo]:
+                ranks.extend(map(m.__add__, columns))
+        return array("I", map(self.rank_to_label.__getitem__, map(ranks.__getitem__, self.label_to_rank)))
+
+    @cached_property
     def flank_uses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
         sides = [[[[] for _ in range(len(cat))] for cat in self._lower] for _ in range(2)]
         for label, (lo, la, ro, rb) in enumerate(self.decompositions, start=1):
@@ -256,6 +281,11 @@ class Universe:
     def grid_aplusb(self, order: int) -> tuple[tuple[int, ...], ...]:
         """Rows of A_n followed by the two rows of B_n."""
         return self.tableau_a(order) + self.tableau_b(order)
+
+    def mirror(self, order: int) -> memoryview:
+        """Entry x-1: the label of the left-right reflection of label x of
+        this order (V(L, R) -> V(mirror(R), mirror(L)))."""
+        return memoryview(self.catalog(order).mirror).toreadonly()
 
     def decompositions(self, order: int) -> tuple[tuple[int, int, int, int], ...]:
         """Per label 1..S_n: (left order, left label, right order, right label)."""

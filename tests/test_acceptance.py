@@ -2,6 +2,7 @@
 exact unless marked otherwise.  Run with -v for one pass/fail line per
 criterion; report-only side values are printed alongside."""
 
+import hashlib
 import math
 from itertools import combinations
 
@@ -290,6 +291,25 @@ def test_verify_harness_is_green(universe):
     assert sum(1 for c in report.checks if c.status == "pass") == 19
     assert sum(1 for c in report.checks if c.status == "report") == 4
     assert not [c for c in report.checks if c.status == "skip"]
+
+
+# sha256 of each survey check's computed text, recorded before the surveys
+# closed one identity per mirror orbit
+SURVEY_REPORT_DIGESTS = {
+    "column-pairs-order3": "ec285b3de4166c2d54306be729e8f92f6314d3ca3bc8473b6b561dbf8702f0bb",
+    "column-pairs-order4": "72ecfdf5f8b1670a2d85267391b5fdeee6e41b1fbf977c331621111930eeb406",
+    "order4-sample-formula": "3085ff84ac36d9cfb55d59c63dd49daaf15bf4ee7bf78b741db3dd3fb66e99e1",
+}
+
+
+def test_survey_report_texts_are_pinned(universe):
+    report = run_verify(9, 7, universe)
+    digests = {
+        c.id: hashlib.sha256(c.computed.encode()).hexdigest()
+        for c in report.checks
+        if c.id in SURVEY_REPORT_DIGESTS
+    }
+    assert digests == SURVEY_REPORT_DIGESTS
 
 
 def test_verify_harness_bounded_run():

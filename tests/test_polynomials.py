@@ -1,5 +1,6 @@
 """Skein polynomials, collision counts, series, and the convolution relations."""
 
+import gc
 import tracemalloc
 from fractions import Fraction
 
@@ -393,6 +394,20 @@ def test_level_n_streams_from_plain_lower_levels():
         tracemalloc.stop()
     assert count == 312066
     assert peak < 6 * 10**6, peak
+
+
+def test_dropped_level_stream_leaves_no_cycle():
+    # a walk that closed over itself kept the lower levels alive until a
+    # cyclic collection ran
+    gc.collect()
+    gc.disable()
+    try:
+        words = enumerate_trees_mixed((2, 3), 6)
+        assert sum(1 for _ in words) == 34970
+        del words
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_level_n_lists_are_capped(monkeypatch):

@@ -30,6 +30,7 @@ from iterforge import (
     h_formula_b,
     implication_pairs,
     parse_word,
+    semantics,
     singletons,
     unicity_bounds_check,
 )
@@ -534,6 +535,57 @@ def test_order4_formula_survey(universe):
     assert (11, 14) in through6 and (1, 9) in through6
     assert len(through6) == 79
     assert survey.sequences[(11, 14)] == (5, 13, 35, 96, 267)
+
+
+def mirror_pair(universe, n, pair):
+    mirror = universe.mirror(n)
+    a, b = (mirror[x - 1] for x in pair)
+    return min(a, b), max(a, b)
+
+
+@pytest.mark.parametrize(("n", "bound"), [(3, 9), (4, 8)])
+def test_mirror_images_share_classnumbers_and_verdicts(universe, n, bound):
+    # the evidence the surveys' one-closure-per-orbit shortcut rests on
+    configs = [ClosureConfig(bound, mode, False) for mode in (MODE_A, MODE_B, MODE_AB)]
+    configs.append(ClosureConfig(bound, MODE_AB, True))
+    outcome = {}
+    for pair in combinations(range(1, catalan(n) + 1), 2):
+        spec = IdentitySpec.of(n, pair)
+        numbers = tuple(tuple(classnumbers(close(spec, config, universe))) for config in configs)
+        outcome[pair] = numbers, _verdict_kind(universe, spec, bound)
+    assert len(outcome) == catalan(n) * (catalan(n) - 1) // 2
+    for pair, result in outcome.items():
+        assert outcome[mirror_pair(universe, n, pair)] == result, pair
+
+
+def test_surveys_close_one_identity_per_mirror_orbit(universe, monkeypatch):
+    closed = []
+
+    def counted(original):
+        def call(*args):
+            closed.extend(arg.pairs for arg in args if isinstance(arg, IdentitySpec))
+            return original(*args)
+
+        return call
+
+    monkeypatch.setattr(semantics, "_verdict_kind", counted(_verdict_kind))
+    monkeypatch.setattr(semantics, "close", counted(close))
+    for n, pairs, orbits in ((3, 5, 3), (4, 40, 23)):
+        closed.clear()
+        survey = column_pair_survey(universe, n, 5)
+        assert len(survey.column_pairs + survey.other_pairs) == pairs
+        assert len(closed) == len(set(closed)) == orbits, n
+    closed.clear()
+    assert len(order4_formula_survey(universe, 5).sequences) == 91
+    assert len(closed) == len(set(closed)) == 49
+
+
+def test_formula_survey_matches_per_pair_closures(universe):
+    survey = order4_formula_survey(universe, 7)
+    assert list(survey.sequences) == list(combinations(range(1, 15), 2))
+    for pair, sequence in survey.sequences.items():
+        state = close(IdentitySpec.of(4, pair), ClosureConfig(7, MODE_AB, False), universe)
+        assert sequence == tuple(state.classnumber(m) for m in range(3, 8)), pair
 
 
 # -- reports -----------------------------------------------------------------

@@ -376,3 +376,48 @@ def test_multiplicity_counts_every_label(universe):
         rows = universe.tableau_a(n)
         for label in range(1, catalan(n) + 1):
             assert universe.multiplicity(n, label) == sum(row.count(label) for row in rows), (n, label)
+
+
+def reflect(t: Term) -> Term:
+    return t if t.is_leaf else Term(reflect(t.right), reflect(t.left))
+
+
+def test_mirror_reflects_terms(universe):
+    for n in range(10):
+        cat, mirror = universe.catalog(n), universe.mirror(n)
+        assert len(mirror) == len(cat), n
+        for x in range(1, len(cat) + 1):
+            assert cat.term(mirror[x - 1]) == reflect(cat.term(x)), (n, x)
+
+
+def test_mirror_is_an_involution(universe):
+    for n in range(10):
+        mirror = universe.mirror(n)
+        assert all(mirror[m - 1] == x for x, m in enumerate(mirror, 1)), n
+
+
+def test_mirror_reverses_the_tableau_lines(universe):
+    for n in range(1, 10):
+        mirror, lower = universe.mirror(n), universe.mirror(n - 1)
+        rows = universe.tableau_a(n)
+        for k, row in enumerate(rows, 1):
+            image = rows[n - k]  # row n+1-k
+            assert all(mirror[label - 1] == image[lower[x - 1] - 1] for x, label in enumerate(row, 1)), (n, k)
+        left, right = universe.tableau_b(n)
+        for j in range(1, len(left) + 1):
+            assert mirror[left[j - 1] - 1] == right[lower[j - 1] - 1], (n, j)
+            assert mirror[right[j - 1] - 1] == left[lower[j - 1] - 1], (n, j)
+
+
+def test_self_mirror_counts(universe):
+    # the symmetric trees of order 2k+1 are a tree of order k and its mirror
+    counts = [sum(m == x for x, m in enumerate(universe.mirror(n), 1)) for n in range(1, 10)]
+    assert counts == [1, 0, 1, 0, 2, 0, 5, 0, 14]
+
+
+def test_mirror_is_built_from_the_rank_blocks():
+    universe = Universe(9)
+    universe.mirror(9)
+    with pytest.raises(TypeError):
+        universe.mirror(9)[0] = 1  # a read-only view
+    assert all("decompositions" not in vars(universe.catalog(n)) for n in range(10))
