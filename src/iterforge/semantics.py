@@ -321,16 +321,16 @@ class _SignatureTables:
         part = self.parts[k]
         moved = part.merge(a, b)
         joined = part.members[part.owner[a]]
-        one_class = [p.count == 1 for p in state.partitions]
+        live = state.partitions
         decomp = self.decomp[k]
         for x in joined if len(joined) == 2 else moved:  # a singleton had no keys
             lo, _, ro, _ = decomp[x - 1]
-            if not one_class[ro]:
+            if live[ro].count > 1:
                 self._key(state, k, x, 0)
-            if not one_class[lo]:
+            if live[lo].count > 1:
                 self._key(state, k, x, 1)
         for m in range(k + 1, len(self.parts)):
-            if one_class[m - 1 - k]:  # the other flank of a user of order k
+            if live[m - 1 - k].count == 1:  # the other flank of a user of order k
                 continue
             owner_m, members_m = self.parts[m].owner, self.parts[m].members
             for side, uses in enumerate(self.uses[m]):

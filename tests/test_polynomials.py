@@ -397,8 +397,8 @@ def test_level_n_streams_from_plain_lower_levels():
 
 
 def test_dropped_level_stream_leaves_no_cycle():
-    # a walk that closed over itself kept the lower levels alive until a
-    # cyclic collection ran
+    # a walk that closes over itself keeps the lower levels alive until a
+    # cyclic collection runs
     gc.collect()
     gc.disable()
     try:
