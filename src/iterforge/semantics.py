@@ -330,7 +330,7 @@ class _SignatureTables:
             if live[lo].count > 1:
                 self._key(state, k, x, 1)
         for m in range(k + 1, len(self.parts)):
-            if live[m - 1 - k].count == 1:  # the other flank of a user of order k
+            if live[m - 1 - k].count == 1:  # a flank of order k leaves the other one order m-1-k
                 continue
             owner_m, members_m = self.parts[m].owner, self.parts[m].members
             for side, uses in enumerate(self.uses[m]):

@@ -14,7 +14,9 @@ The results get labels 1..S_n at first sight in a row-major scan.  Tableau
 B_n holds the root extensions V(J, x) and V(x, J): the last S_{n-1} ranks
 and the first S_{n-1}.  A label's signature is the mask of the n+2 lines
 of A_n and B_n that hold it, built by the cherry recursion; multiplicities,
-line intersections and incidence are read from it.
+line intersections and incidence are read from it.  The mirror, reflecting
+a term left to right, is a label permutation per order, also read off the
+rank blocks.
 """
 
 from __future__ import annotations
