@@ -73,7 +73,7 @@ print()
 print("== convolution relations ==")
 report = convolution_relation_check(2, 30)
 print(f"threefold convolution at n=30: {report.convolution}")
-print(f"fitted alternating coefficients: {report.relation1.coefficients}")
+print(f"closed-form alternating coefficients C(lam-j, j): {report.relation1}")
 print(f"triangle-weighted expansion exact: {report.relation2_ok}")
 print(f"ratio to catalan(30): {float(report.relation3_ratio):.6f} -> limit {float(report.relation3_limit)}")
 print("catalan(30) =", catalan(30))

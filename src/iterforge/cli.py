@@ -183,13 +183,13 @@ def _int_param(value: str, usage: str, cap: int) -> int:
 
 # per variant: the parameters, the cap on the first one where it is an arity
 # or lambda, and the cap on the size (the last one); the caps keep the command
-# at about 1 s
+# at about 1 s (convolution peaks near LAMBDA = N/4: 0.72 s at 75 300)
 CATALAN_PARAMS = {
     "classic": ("N", None, 2000),
     "ballot": ("N", None, 350),
     "general": ("A N", 20, 2000),
     "mixed": ("A1,A2,... D", 4, 100),
-    "convolution": ("LAMBDA N", 6, 150),
+    "convolution": ("LAMBDA N", 300, 300),
 }
 MAX_MIXED_ARITIES = 3
 

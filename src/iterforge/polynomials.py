@@ -9,22 +9,22 @@ at the leaf.  `skein_levels` follows that build-up over the universe's
 label decompositions into one table, whose levels `collision_groups` and
 `np_recursion_check` read; `skein` and `skein_q` take one `Term`, for
 words beyond the universe and as oracles.
+
+The records are `collections.namedtuple` subclasses, which load no module:
+`typing.NamedTuple` would load `typing` into every `catalan` and `skein`
+command.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterator
 from itertools import chain
 from math import comb
-from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import BadArity, IllFoundedRecursion, NonIntegralTerm
 from .terms import Term, ballot_row, catalan
-
-if TYPE_CHECKING:
-    from .tableaux import Universe
 
 
 class SkeinPoly:
@@ -445,10 +445,11 @@ def catalan_relative(law, base: dict[int, int], degree: int) -> list[int]:
     return values
 
 
-class RecurrenceTerm(NamedTuple):
-    n: int
-    value: Fraction
-    integral: bool
+class RecurrenceTerm(namedtuple("RecurrenceTerm", "n value integral")):
+    """One term of a weighted recurrence: n, its exact value (a Fraction) and
+    whether that value is an integer."""
+
+    __slots__ = ()
 
 
 def weighted_recurrence(
@@ -494,54 +495,25 @@ def catalan_convolution(lam: int, n: int) -> int:
     return phi.power(lam + 1)[degree]
 
 
-def _solve_integer_system(rows: list[list[int]], rhs: list[int]) -> list[Fraction] | None:
-    """Solve a small square linear system exactly; None if singular."""
-    from fractions import Fraction
-    size = len(rhs)
-    m = [[Fraction(v) for v in row] + [Fraction(b)] for row, b in zip(rows, rhs)]
-    for col in range(size):
-        pivot = next((r for r in range(col, size) if m[r][col] != 0), None)
-        if pivot is None:
-            return None
-        m[col], m[pivot] = m[pivot], m[col]
-        inv = m[col][col]
-        m[col] = [v / inv for v in m[col]]
-        for r in range(size):
-            if r != col and m[r][col] != 0:
-                factor = m[r][col]
-                m[r] = [v - factor * w for v, w in zip(m[r], m[col])]
-    return [m[r][size] for r in range(size)]
+def relation1_coefficients(lam: int) -> tuple[int, ...]:
+    """The coefficients d_j = C(lam - j, j), j = 0..[lam/2], of relation 1:
+    C(lam, n) = sum_j (-1)^j d_j S_{n-j} for every n >= lam.  C(lam, n) is
+    entry (n, n - lam) of Catalan's triangle, OEIS A009766 (Flajolet and
+    Sedgewick, Analytic Combinatorics, ch. I and III).
 
-
-class Relation1Fit(NamedTuple):
-    lam: int
-    coefficients: tuple[int, ...]  # d_j with C(lam, n) = sum_j (-1)^j d_j S_{n-j}
-    verified_to: int
-    matches_binomial_pattern: bool  # d_j == comb(lam - j, j)
-
-
-def relation1_fit(lam: int, n_max: int) -> Relation1Fit:
-    """Fit C(lam, n) = sum_{j=0..[lam/2]} (-1)^j d_j S_{n-j} empirically.
-
-    The solved coefficients are reported rather than asserted from any
-    printed pattern; the fit is then checked on every n up to n_max.
+    Proof.  Let c be the Catalan series, so c = 1 + t c^2, and u = t c.  Then
+    u^2 = u - t, so u^lam = P_lam + Q_lam u with polynomials P, Q in t
+    (P_0 = 1, Q_0 = 0, P_{lam+1} = -t Q_lam, Q_{lam+1} = P_lam + Q_lam), and
+    u c = c - 1.  Hence t^lam c^(lam+1) = u^lam c = R_lam c - Q_lam, where
+    R_lam = P_lam + Q_lam satisfies R_{lam+1} = R_lam - t R_{lam-1} with
+    R_0 = R_1 = 1, so R_lam = sum_j (-1)^j C(lam - j, j) t^j by Pascal's rule
+    C(lam + 1 - j, j) = C(lam - j, j) + C(lam - j, j - 1).  Q_lam = R_{lam-1}
+    has degree below lam, so for n >= lam the coefficient of t^n gives
+    C(lam, n) = [t^(n-lam)] c^(lam+1) = sum_j (-1)^j C(lam - j, j) S_{n-j}.
+    `catalan_convolution` is the independent route the tests and `verify`
+    compare this with.
     """
-    width = lam // 2 + 1
-    rows = []
-    rhs = []
-    for n in range(lam, lam + width):
-        rows.append([(-1) ** j * catalan(n - j) for j in range(width)])
-        rhs.append(catalan_convolution(lam, n))
-    solution = _solve_integer_system(rows, rhs)
-    if solution is None or any(v.denominator != 1 for v in solution):
-        raise ValueError(f"no integer alternating fit of width {width} for lam={lam}")
-    coeffs = tuple(int(v) for v in solution)
-    for n in range(lam, n_max + 1):
-        value = sum((-1) ** j * coeffs[j] * catalan(n - j) for j in range(width))
-        if value != catalan_convolution(lam, n):
-            raise ValueError(f"fitted coefficients fail at n={n}")
-    matches = all(coeffs[j] == comb(lam - j, j) for j in range(width))
-    return Relation1Fit(lam, coeffs, n_max, matches)
+    return tuple(comb(lam - j, j) for j in range(lam // 2 + 1))
 
 
 def relation2_check(lam: int, n_max: int) -> bool:
@@ -549,7 +521,9 @@ def relation2_check(lam: int, n_max: int) -> bool:
     row = ballot_row(lam)
     degree = n_max - lam
     phi = PowerSeries(tuple(catalan(i) for i in range(degree + 1)))
-    powers = [phi.power(j + 1) for j in range(1, lam + 1)]
+    powers = [phi * phi]  # phi^2 .. phi^(lam+1), one multiplication apart
+    while len(powers) < lam:
+        powers.append(powers[-1] * phi)
     for n in range(lam, n_max + 1):
         total = sum(row[j - 1] * powers[j - 1][n - lam] for j in range(1, lam + 1))
         if total != catalan(n):
@@ -564,14 +538,15 @@ def relation3_estimate(lam: int, n: int) -> tuple[Fraction, Fraction]:
     return ratio, Fraction(lam + 1, 2**lam)
 
 
-class ConvolutionReport(NamedTuple):
-    lam: int
-    n: int
-    convolution: int
-    relation1: Relation1Fit
-    relation2_ok: bool
-    relation3_ratio: Fraction
-    relation3_limit: Fraction
+class ConvolutionReport(namedtuple(
+    "ConvolutionReport", "lam n convolution relation1 relation2_ok relation3_ratio relation3_limit"
+)):
+    """The three convolution relations at (lam, n): C(lam, n); relation 1's
+    coefficients (`relation1_coefficients`); whether relation 2's expansion
+    is exact up to n; and relation 3's ratio C(lam, n)/S_n with its limit
+    (Fractions)."""
+
+    __slots__ = ()
 
     @property
     def relation3_relative_error(self) -> float:
@@ -580,10 +555,11 @@ class ConvolutionReport(NamedTuple):
 
 def convolution_relation_check(lam: int, n: int) -> ConvolutionReport:
     """Bundle the three convolution relations at (lam, n)."""
+    from fractions import Fraction
     if not 1 <= lam <= n:
         raise ValueError("need 1 <= lam <= n")
-    fit = relation1_fit(lam, max(n, lam + lam // 2 + 2))
-    ratio, limit = relation3_estimate(lam, n)
+    value = catalan_convolution(lam, n)
     return ConvolutionReport(
-        lam, n, catalan_convolution(lam, n), fit, relation2_check(lam, n), ratio, limit
+        lam, n, value, relation1_coefficients(lam), relation2_check(lam, n),
+        Fraction(value, catalan(n)), Fraction(lam + 1, 2**lam),
     )

@@ -235,7 +235,7 @@ def convolution(report, fmt: str) -> str:
         "lam": report.lam,
         "n": report.n,
         "value": report.convolution,
-        "relation1_coefficients": list(report.relation1.coefficients),
+        "relation1_coefficients": list(report.relation1),
         "relation2_ok": report.relation2_ok,
         "relation3_ratio": str(report.relation3_ratio),
         "relation3_limit": str(report.relation3_limit),

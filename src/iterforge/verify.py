@@ -569,14 +569,10 @@ def report_order4_sample_formula(universe, max_order, closure_order) -> Check:
 
 
 def report_relation1_coefficients(universe, max_order, closure_order) -> Check:
-    fits = [polynomials.relation1_fit(lam, 16) for lam in range(1, 7)]
-    text = "; ".join(
-        f"lam={f.lam}: {f.coefficients}{'' if f.matches_binomial_pattern else ' (off-pattern)'}"
-        for f in fits
-    )
+    text = "; ".join(f"lam={lam}: {polynomials.relation1_coefficients(lam)}" for lam in range(1, 7))
     return Check(
         "convolution-relation-coefficients",
-        "empirically fitted alternating coefficients of the convolution relation",
+        "closed-form alternating coefficients C(lam-j, j) of the convolution relation",
         REPORT,
         "coefficients C(lam-j, j)",
         text,
@@ -584,15 +580,21 @@ def report_relation1_coefficients(universe, max_order, closure_order) -> Check:
 
 
 def check_convolution_relations(universe, max_order, closure_order) -> Check:
-    ok = all(polynomials.relation1_fit(lam, 16).matches_binomial_pattern for lam in range(1, 7))
+    # relation 1's closed form against the series convolution, its one brute-force route
+    ok = all(
+        polynomials.catalan_convolution(lam, n)
+        == sum((-1) ** j * d * terms.catalan(n - j) for j, d in enumerate(polynomials.relation1_coefficients(lam)))
+        for lam in range(1, 7)
+        for n in range(lam, 17)
+    )
     ok &= all(polynomials.relation2_check(lam, 14) for lam in range(1, 6))
     ratio, limit = polynomials.relation3_estimate(2, 30)
     ok &= abs(float(ratio / limit) - 1) < 0.02
     return Check(
         "convolution-relations",
-        "fitted relation coefficients, triangle-weighted expansion, and the limit ratio",
+        "closed-form relation coefficients C(lam-j, j), triangle-weighted expansion, and the limit ratio",
         _verdict(ok),
-        "fit consistent for lam<=6; expansion exact for lam<=5, n<=14; C(2,30)/S_30 within 2% of 3/4",
+        "closed form equals the convolution for lam<=6, n<=16; expansion exact for lam<=5, n<=14; C(2,30)/S_30 within 2% of 3/4",
         f"C(2,30)/S_30 = {float(ratio):.6f}",
     )
 

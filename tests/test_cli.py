@@ -231,7 +231,7 @@ def test_negative_sequence_length_is_usage_error(capsys):
         (["ballot"], 350),
         (["general", "3"], 2000),
         (["mixed", "2,3"], 100),
-        (["convolution", "2"], 150),
+        (["convolution", "2"], 300),
     ],
 )
 def test_sequence_size_above_cap_is_usage_error(capsys, params, cap):
@@ -250,7 +250,7 @@ def test_sequence_size_above_cap_is_usage_error(capsys, params, cap):
         ["general", "1000000", "2000"],
         ["mixed", "2,5", "10"],
         ["mixed", "2,2,3,3", "10"],
-        ["convolution", "7", "10"],
+        ["convolution", "301", "10"],
     ],
 )
 def test_arity_and_lambda_above_cap_are_usage_errors(capsys, params):
@@ -262,12 +262,12 @@ def test_arity_and_lambda_above_cap_are_usage_errors(capsys, params):
 def test_catalan_usage_lines_name_the_caps():
     assert _catalan_usage("general") == "usage: catalan general A N (A <= 20, N <= 2000)"
     assert _catalan_usage("mixed") == "usage: catalan mixed A1,A2,... D (at most 3 arities, each <= 4, D <= 100)"
-    assert _catalan_usage("convolution") == "usage: catalan convolution LAMBDA N (LAMBDA <= 6, N <= 150)"
+    assert _catalan_usage("convolution") == "usage: catalan convolution LAMBDA N (LAMBDA <= 300, N <= 300)"
 
 
 def test_every_catalan_variant_renders_at_its_caps(capsys):
     for params in (["classic", "2000"], ["ballot", "350"], ["general", "20", "2000"],
-                   ["mixed", "4,4,4", "100"], ["convolution", "6", "150"]):
+                   ["mixed", "4,4,4", "100"], ["convolution", "300", "300"]):
         for fmt in ("text", "json", "csv"):
             code, out, err = run_cli(capsys, "catalan", *params, "--format", fmt)
             assert code == 0 and out and err == "", (params, fmt)
@@ -494,8 +494,8 @@ OUTPUT_GOLDENS = {
     "catalan convolution 2 10 --format text": "2d82abbdab985492a6c41581abe5dc30629019ccf69d1432b0adaafe8c988ec3",
     "catalan convolution 2 10 --format json": "e464fd88baac019e5ddadc6861a34fa5398cbcfbe65a1d8026a311076f82bde2",
     "catalan convolution 2 10 --format csv": "c817e2171e438907bbb515eef77e1b87d579c4c6cec229f6f5732f9302b817a5",
-    "verify --order 4 --format text": "2feee3550f695d9126b7688ff5c259c628589606dc26b0a5ba31b3ff15d4e33a",
-    "verify --order 4 --format json": "b7032faa6da1a996abaaeca74366fb248526fbd05386402e38252b5c993a9aab",
+    "verify --order 4 --format text": "7bcc68f8e39235ac39d23e019b5d1c499ea8a412cb4064e284be1d33dd9ad14e",
+    "verify --order 4 --format json": "4ac9ce3b193dec4556a49685bcbd539cfe5e0ceb5d9196280e0f799f0b5c5520",
     "verify --order 4 --format csv": "b9d6fa1c7e81ce4fdad154b72ce7eaa994ae03e3e97849d2ad75d14fe1d5c2da",
 }
 

@@ -17,7 +17,7 @@ DEMO_GOLDENS = {
     "03_reducibility.py": "8c9302d0d43cdc229b7fe7485a05d03791f197d6d591b6333c0a337f67e7dbd0",
     "04_closures.py": "735ae9e0d576b39ec878ed5a58636bbe83e3e2a30cad8e35005f686a305b1795",
     "05_classification.py": "a9bbc3d52b723566c33d764ef69edbfb768a2d09315cebe73aac5fae775f96f9",
-    "06_skein_and_series.py": "884340b1be28ecb812902c64313cc14e807f87e73bd13dff94135a09f1057cbd",
+    "06_skein_and_series.py": "1aadecc53b2edbfd9bad189b55f95b5d1b52250699b586dae757987b6727e8b6",
 }
 
 

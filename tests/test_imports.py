@@ -1,6 +1,6 @@
 """The package exports its names lazily. Each command loads only the engine
 modules it uses, never `dataclasses` or `inspect`, and `fractions` only
-where it builds a Fraction."""
+where it builds a Fraction; `catalan` and `skein` load no `typing`."""
 
 import ast
 import importlib
@@ -118,6 +118,18 @@ def test_only_json_output_loads_json(tmp_path, argv):
     assert code == 0
     json_modules = [m for m in loaded if m.split(".")[0] in ("json", "_json")]
     assert bool(json_modules) == (argv[-1] == "json"), json_modules
+
+
+@pytest.mark.parametrize("argv", [["catalan", "convolution", "2", "10"], ["skein", "VVxxVxx"]], ids=" ".join)
+def test_polynomials_commands_load_no_typing_without_site(tmp_path, argv):
+    # without site hooks nothing preloads typing; a collections.namedtuple record loads nothing
+    env = dict(os.environ, PYTHONPATH=str(SRC), ITERFORGE_CACHE=str(tmp_path / "cache"))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", REPR_PROBE, *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    code, loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
+    assert code == 0
+    assert "iterforge.polynomials" in loaded and "typing" not in loaded
 
 
 def test_importing_the_cli_loads_no_engine_beyond_tableaux():

@@ -35,7 +35,7 @@ from iterforge.polynomials import (
     catalan_general_sequence,
     enumerate_trees_mixed,
     op_symbol,
-    relation1_fit,
+    relation1_coefficients,
     relation2_check,
     relation3_estimate,
     skein_levels,
@@ -518,11 +518,14 @@ def test_convolution_base_case():
     assert catalan_convolution(2, 5) == 28
 
 
-def test_relation1_fitted_coefficients():
-    for lam in range(1, 7):
-        fit = relation1_fit(lam, 16)
-        assert fit.matches_binomial_pattern, (lam, fit.coefficients)
-    assert relation1_fit(4, 12).coefficients == (1, 3, 1)
+def test_relation1_closed_form_matches_the_convolution():
+    for lam in range(1, 16):
+        coefficients = relation1_coefficients(lam)
+        assert len(coefficients) == lam // 2 + 1
+        for n in range(lam, 45):
+            expansion = sum((-1) ** j * d * catalan(n - j) for j, d in enumerate(coefficients))
+            assert expansion == catalan_convolution(lam, n), (lam, n)
+    assert relation1_coefficients(4) == (1, 3, 1)
 
 
 def test_relation2():
@@ -544,6 +547,8 @@ def test_relation3_limit():
 def test_convolution_report_bundle():
     report = convolution_relation_check(2, 30)
     assert report.convolution == catalan_convolution(2, 30)
+    assert report.relation1 == relation1_coefficients(2) == (1, 1)
+    assert (report.relation3_ratio, report.relation3_limit) == relation3_estimate(2, 30)
     assert report.relation2_ok
     assert report.relation3_relative_error < 0.02
     with pytest.raises(ValueError):

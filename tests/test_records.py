@@ -36,7 +36,6 @@ def frozen():
         "FormulaSurvey": (FormulaSurvey(7, (1,), {}), "sequences"),
         "FrequencyRow": (frequency_report(3)[0], "ratio"),
         "RecurrenceTerm": (weighted_recurrence(2, 1, [1, 1], 4, strict=False)[-1], "value"),
-        "Relation1Fit": (convolution.relation1, "coefficients"),
         "ConvolutionReport": (convolution, "relation3_ratio"),
         "VerifyReport": (VerifyReport(4, 7, []), "checks"),
         "RunLengthCode": (run_length_code("VVxxVxx"), "pairs"),
@@ -47,7 +46,7 @@ def frozen():
 
 FROZEN = [
     "IdentitySpec", "ClosureConfig", "Verdict", "BoundsReport", "ColumnSurvey", "FormulaSurvey",
-    "FrequencyRow", "RecurrenceTerm", "Relation1Fit", "ConvolutionReport", "VerifyReport",
+    "FrequencyRow", "RecurrenceTerm", "ConvolutionReport", "VerifyReport",
     "RunLengthCode", "IncidenceMatrix", "PowerSeries",
 ]
 
