@@ -183,7 +183,7 @@ def _int_param(value: str, usage: str, cap: int) -> int:
 
 # per variant: the parameters, the cap on the first one where it is an arity
 # or lambda, and the cap on the size (the last one); the caps keep the command
-# at about 1 s (convolution peaks near LAMBDA = N/4: 0.72 s at 75 300)
+# at about 1 s (convolution is slowest near LAMBDA = N/4)
 CATALAN_PARAMS = {
     "classic": ("N", None, 2000),
     "ballot": ("N", None, 350),
