@@ -12,12 +12,11 @@ mask of the lines that hold it, and never the S_n^2 entries themselves.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import cached_property, reduce
 from math import comb
 from operator import or_
-from typing import NamedTuple
 
 from .errors import OrderMismatch
 from .tableaux import Universe, t_nk
@@ -135,14 +134,14 @@ def t_nk_aplusb(n: int, k: int) -> int:
     return t_nk(n, k) + 2 * (t_nk(n - 1, k - 1) - t_nk(n - 1, k))
 
 
-class FrequencyRow(NamedTuple):
-    n: int
-    s_n: int
-    i_n_matrix: int | None
-    i_n_formula: int
-    ratio: Fraction          # I_n / S_n^2
-    one_minus_ratio: Fraction
-    exp_comparison: float    # e^(-n/16)
+class FrequencyRow(namedtuple(
+    "FrequencyRow", "n s_n i_n_matrix i_n_formula ratio one_minus_ratio exp_comparison"
+)):
+    """One order of `frequency_report`: n, S_n, I_n from the matrix (None past
+    the universe) and the formula, I_n / S_n^2 and 1 minus it (Fractions), and
+    e^(-n/16).  Unlike `typing.NamedTuple`, a namedtuple loads no `typing`."""
+
+    __slots__ = ()
 
 
 def frequency_report(n_max: int, universe: Universe | None = None) -> list[FrequencyRow]:

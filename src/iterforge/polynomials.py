@@ -5,9 +5,9 @@ The skein polynomial tracks, per variable, how often it sits in first
 or second argument position along its path to the root: the variable
 contributes the monomial a^s b^t.  Building V(J, J') multiplies J's
 polynomial by a and J''s by b and adds (`SkeinPoly.join`), starting from 1
-at the leaf.  `skein_levels` follows that build-up over the universe's
-label decompositions into one table, whose levels `collision_groups` and
-`np_recursion_check` read; `skein` and `skein_q` take one `Term`, for
+at the leaf.  `skein_levels` folds that build-up over the universe's rank
+blocks (`Universe.fold`) into one table, whose levels `collision_groups`
+and `np_recursion_check` read; `skein` and `skein_q` take one `Term`, for
 words beyond the universe and as oracles.
 
 The records are `collections.namedtuple` subclasses, which load no module:
@@ -118,15 +118,16 @@ def skein_q(t: Term) -> SkeinPoly:
     return SkeinPoly.join(skein_q(t.left), skein_q(t.right)) + _ONE
 
 
+def _skein_block(lo: int, ro: int, left, right) -> list[SkeinPoly]:
+    """`SkeinPoly.join` over one rank block, each flank multiplied once."""
+    rights = [SkeinPoly({(s, t + 1): c for (s, t), c in poly.coeffs.items()}) for poly in right]
+    lefts = (SkeinPoly({(s + 1, t): c for (s, t), c in poly.coeffs.items()}) for poly in left)
+    return [a + b for a in lefts for b in rights]
+
+
 def skein_levels(universe: Universe, n: int) -> tuple[tuple[SkeinPoly, ...], ...]:
     """Per order 0..n, the skein polynomial of every label, in label order."""
-    levels = [(_ONE,)]
-    for m in range(1, n + 1):
-        levels.append(tuple(
-            SkeinPoly.join(levels[lo][la - 1], levels[ro][rb - 1])
-            for lo, la, ro, rb in universe.decompositions(m)
-        ))
-    return tuple(levels)
+    return tuple(universe.fold(n, (_ONE,), _skein_block))
 
 
 def collision_groups(polys) -> dict[SkeinPoly, tuple[int, ...]]:
@@ -216,8 +217,8 @@ class PowerSeries:
         return PowerSeries((0,) * k + self.coeffs[: d + 1 - k])
 
     def power(self, e: int) -> PowerSeries:
-        result = PowerSeries.constant(1, self.degree)
-        for _ in range(e):
+        result = self if e else PowerSeries.constant(1, self.degree)
+        for _ in range(e - 1):
             result = result * self
         return result
 
@@ -516,8 +517,8 @@ def relation1_coefficients(lam: int) -> tuple[int, ...]:
     return tuple(comb(lam - j, j) for j in range(lam // 2 + 1))
 
 
-def relation2_check(lam: int, n_max: int) -> bool:
-    """S_n = sum_{j=1..lam} c_{lam,j} * [t^(n-lam)] phi^(j+1) for lam <= n <= n_max."""
+def _relation2(lam: int, n_max: int) -> tuple[bool, int]:
+    """Relation 2 for lam <= n <= n_max, and C(lam, n_max), from one list of powers."""
     row = ballot_row(lam)
     degree = n_max - lam
     phi = PowerSeries(tuple(catalan(i) for i in range(degree + 1)))
@@ -527,8 +528,13 @@ def relation2_check(lam: int, n_max: int) -> bool:
     for n in range(lam, n_max + 1):
         total = sum(row[j - 1] * powers[j - 1][n - lam] for j in range(1, lam + 1))
         if total != catalan(n):
-            return False
-    return True
+            return False, powers[-1][degree]
+    return True, powers[-1][degree]
+
+
+def relation2_check(lam: int, n_max: int) -> bool:
+    """S_n = sum_{j=1..lam} c_{lam,j} * [t^(n-lam)] phi^(j+1) for lam <= n <= n_max."""
+    return _relation2(lam, n_max)[0]
 
 
 def relation3_estimate(lam: int, n: int) -> tuple[Fraction, Fraction]:
@@ -558,8 +564,8 @@ def convolution_relation_check(lam: int, n: int) -> ConvolutionReport:
     from fractions import Fraction
     if not 1 <= lam <= n:
         raise ValueError("need 1 <= lam <= n")
-    value = catalan_convolution(lam, n)
+    holds, value = _relation2(lam, n)
     return ConvolutionReport(
-        lam, n, value, relation1_coefficients(lam), relation2_check(lam, n),
+        lam, n, value, relation1_coefficients(lam), holds,
         Fraction(value, catalan(n)), Fraction(lam + 1, 2**lam),
     )

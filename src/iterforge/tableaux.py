@@ -12,11 +12,11 @@ label order, where L has order lo: the result is V(A_{lo+1}[k][L], R) when
 k <= lo+1, else V(L, A_{ro+1}[k-lo-1][R]), read off grids of lower orders.
 The results get labels 1..S_n at first sight in a row-major scan.  Tableau
 B_n holds the root extensions V(J, x) and V(x, J): the last S_{n-1} ranks
-and the first S_{n-1}.  A label's signature is the mask of the n+2 lines
-of A_n and B_n that hold it, built by the cherry recursion; multiplicities,
-line intersections and incidence are read from it.  The mirror, reflecting
-a term left to right, is a label permutation per order, also read off the
-rank blocks.
+and the first S_{n-1}.  Values of V(L, R) built from those of L and R
+(decompositions, terms, words, mirror, line signatures) are folds, as in
+Flajolet and Sedgewick, ch. I: one join per rank block, mapped into label
+order once.  A label's signature is the mask of the n+2 lines of A_n and
+B_n that hold it; multiplicities, intersections and incidence read it.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import os
 from array import array
 from collections import Counter
 from functools import cached_property
-from itertools import compress
+from itertools import chain, compress, product, starmap
 from math import comb
 from operator import not_
 from pathlib import Path
@@ -44,12 +44,23 @@ def _tuple_rows(rows, size: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(map(ints.__getitem__, row)) for row in rows)
 
 
+def _signature_block(lo: int, ro: int, left, right):
+    """One rank block of `Universe.signatures`; the masks drop lower B bits."""
+    n = lo + ro + 1
+    lines_b = (ro == 0) << n | (lo == 0) << (n + 1) | (lo == ro == 0)
+    lines_lo = (1 << lo) - 1
+    right = [(sig & ((1 << ro) - 1)) << (lo + 1) for sig in right]
+    if len(right) == 1:
+        return map((lines_b | right[0]).__or__, map(lines_lo.__and__, left))
+    return chain.from_iterable(map(((sig & lines_lo) | lines_b).__or__, right) for sig in left)
+
+
 class Catalog:
     """All terms of one order, listed by label 1..S_n.
 
     The build stores the rank table, its inverse and the rows of A_n as
-    arrays.  Decompositions, the tableaux as tuples, `terms` and `words` are
-    views, decoded once, on first use.
+    arrays.  Decompositions, the tableaux as tuples, `terms`, `words` and
+    `mirror` are views, built once, on first use.
     """
 
     def __init__(self, order: int, lower: tuple[Catalog, ...]):
@@ -64,6 +75,8 @@ class Catalog:
         self.rank_to_label = array("I", [0]) * self.offsets[-1]  # 0 until first sight
         self.label_to_rank = array("I")
         self.rows: list[array] = []  # the rows of A_n, each of S_{n-1} labels
+        if order == 0:  # the leaf's views, which the folds of higher orders start from
+            vars(self).update(terms=(LEAF,), words=("x",), mirror=array("I", [1]))
 
     def __len__(self) -> int:
         return len(self.label_to_rank) if self.order else 1
@@ -83,37 +96,34 @@ class Catalog:
             return None  # the rank would land in another key's place
         return self.rank_to_label[self.offsets[lo] + (la - 1) * s_ro + rb - 1]
 
-    def _in_label_order(self, by_rank: list) -> tuple:
-        return tuple(map(by_rank.__getitem__, self.label_to_rank))
-
     @cached_property
     def decompositions(self) -> tuple[tuple[int, int, int, int], ...]:
         """Per label: (left order, left label, right order, right label)."""
-        n = self.order
-        ints = list(range(max(self._sizes, default=0) + 1))  # one int per label value
-        by_rank = [
-            (lo, la, n - 1 - lo, rb)
-            for lo in range(n)
-            for la in ints[1 : self._sizes[lo] + 1]
-            for rb in ints[1 : self._sizes[n - 1 - lo] + 1]
-        ]
-        return self._in_label_order(by_rank)
+        ints = list(range(max(self._sizes) + 1))  # one int per label value
+        labels = [ints[1 : size + 1] for size in self._sizes]
+        return self.fold(labels, lambda lo, ro, left, right: [(lo, la, ro, rb) for la, rb in product(left, right)])
 
-    def _decode(self, view: str, leaf, join) -> tuple:
-        if self.order == 0:
-            return (leaf,)
-        parts = [getattr(cat, view) for cat in self._lower]
-        n = self.order
-        by_rank = [join(left, right) for lo in range(n) for left in parts[lo] for right in parts[n - 1 - lo]]
-        return self._in_label_order(by_rank)
+    def fold(self, levels, join):
+        """This order's values in label order, from `levels`, those of every
+        lower order: join(lo, ro, levels[lo], levels[ro]) returns one rank
+        block's values in rank order (L's label major), and the blocks map
+        into label order once, as an array if the leaf level is one."""
+        n, leaf = self.order, levels[0]
+        by_rank = array(leaf.typecode) if isinstance(leaf, array) else []
+        for lo in range(n):
+            by_rank.extend(join(lo, n - 1 - lo, levels[lo], levels[n - 1 - lo]))
+        values = map(by_rank.__getitem__, self.label_to_rank)
+        return array(leaf.typecode, values) if isinstance(leaf, array) else tuple(values)
 
     @cached_property
     def terms(self) -> tuple[Term, ...]:
-        return self._decode("terms", LEAF, Term)
+        terms = [cat.terms for cat in self._lower]
+        return self.fold(terms, lambda lo, ro, left, right: starmap(Term, product(left, right)))
 
     @cached_property
     def words(self) -> tuple[str, ...]:
-        return self._decode("words", "x", lambda left, right: "V" + left + right)
+        words = [cat.words for cat in self._lower]
+        return self.fold(words, lambda lo, ro, left, right: ["V" + a + b for a, b in product(left, right)])
 
     @cached_property
     def tableau_a(self) -> tuple[tuple[int, ...], ...]:
@@ -134,21 +144,15 @@ class Catalog:
 
             mirror_n(x) = label_at(ro, mirror_ro(rb), mirror_lo(la)),
 
-        with mirror_0(1) = 1.  (lo, la, rb) are decoded from the rank
-        blocks, not from `decompositions`.  An involution; it maps row k of
-        A_n onto row n+1-k and swaps the two rows of B_n."""
-        if self.order == 0:
-            return array("I", [1])
-        n, off, size = self.order, self.offsets, self._sizes
-        mirrors = [cat.mirror for cat in self._lower]
-        ranks: list[int] = []  # the mirror's rank, rank by rank
-        for lo in range(n):
-            ro = n - 1 - lo
+        with mirror_0(1) = 1: a fold over the rank blocks, which reads no
+        `decompositions`.  An involution; it maps row k of A_n onto row
+        n+1-k and swaps the two rows of B_n."""
+        off, label_of_rank = self.offsets, self.rank_to_label.__getitem__
+        def block(lo, ro, left, right):
             # V(mirror(R), mirror(L)) has rank off[ro] + (mirror(R)-1)*S_lo + mirror(L)-1
-            columns = [off[ro] + (m - 1) * size[lo] - 1 for m in mirrors[ro]]
-            for m in mirrors[lo]:
-                ranks.extend(map(m.__add__, columns))
-        return array("I", map(self.rank_to_label.__getitem__, map(ranks.__getitem__, self.label_to_rank)))
+            columns = [off[ro] + (m - 1) * len(left) - 1 for m in right]
+            return map(label_of_rank, chain.from_iterable(map(m.__add__, columns) for m in left))
+        return self.fold([cat.mirror for cat in self._lower], block)
 
     @cached_property
     def flank_uses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
@@ -268,6 +272,13 @@ class Universe:
         self.ensure(order)
         return self._catalogs[order]
 
+    def fold(self, order: int, leaf, join) -> list:
+        """Per order 0..order, its labels' values in label order: `leaf`, then `Catalog.fold`s."""
+        levels = [leaf]
+        for n in range(1, order + 1):
+            levels.append(self.catalog(n).fold(levels, join))
+        return levels
+
     def tableau_a(self, order: int) -> tuple[tuple[int, ...], ...]:
         """The n rows of A_n, each of S_{n-1} labels."""
         if order < 1:
@@ -312,29 +323,13 @@ class Universe:
         Row k of A_n holds the terms with a cherry at leaf k, so the A part
         of V(L, R) is A(L) | A(R) << (lo+1), with A(V(x, x)) = 1; B_n holds
         the terms whose right (bit n) or left (bit n+1) flank is the leaf.
-        Built once per order, in rank order, and read only."""
+        Folded over the rank blocks once per order, and read only."""
         if order < 1:
             raise ValueError("tableaux start at order 1")
         self.ensure(order)
         sigs = self._signatures
         while len(sigs) <= order:
-            n = len(sigs)
-            if n == 1:
-                sigs.append(array("I", [0b111]))
-                continue
-            cat = self._catalogs[n]
-            lines_a = [array("I", [sig & ((1 << m) - 1) for sig in sigs[m]]) for m in range(n)]
-            by_rank = array("I")
-            for lo in range(n):
-                ro = n - 1 - lo
-                lines_b = (ro == 0) << n | (lo == 0) << (n + 1)
-                right = [sig << (lo + 1) for sig in lines_a[ro]]
-                if len(right) == 1:
-                    by_rank.extend(map((lines_b | right[0]).__or__, lines_a[lo]))
-                    continue
-                for left in lines_a[lo]:
-                    by_rank.extend(map((left | lines_b).__or__, right))
-            sigs.append(array("I", map(by_rank.__getitem__, cat.label_to_rank)))
+            sigs.append(self._catalogs[len(sigs)].fold(sigs, _signature_block))
         return memoryview(sigs[order]).toreadonly()
 
     def _a_signatures(self, order: int):

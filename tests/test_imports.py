@@ -120,7 +120,11 @@ def test_only_json_output_loads_json(tmp_path, argv):
     assert bool(json_modules) == (argv[-1] == "json"), json_modules
 
 
-@pytest.mark.parametrize("argv", [["catalan", "convolution", "2", "10"], ["skein", "VVxxVxx"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv",
+    [["catalan", "convolution", "2", "10"], ["skein", "VVxxVxx"], ["incidence", "--order", "4"]],
+    ids=" ".join,
+)
 def test_polynomials_commands_load_no_typing_without_site(tmp_path, argv):
     # without site hooks nothing preloads typing; a collections.namedtuple record loads nothing
     env = dict(os.environ, PYTHONPATH=str(SRC), ITERFORGE_CACHE=str(tmp_path / "cache"))
@@ -129,7 +133,8 @@ def test_polynomials_commands_load_no_typing_without_site(tmp_path, argv):
     )
     code, loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
     assert code == 0
-    assert "iterforge.polynomials" in loaded and "typing" not in loaded
+    engine = "iterforge.incidence" if argv[0] == "incidence" else "iterforge.polynomials"
+    assert engine in loaded and "typing" not in loaded
 
 
 def test_importing_the_cli_loads_no_engine_beyond_tableaux():

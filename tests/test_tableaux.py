@@ -18,6 +18,7 @@ from iterforge import (
     substitute_cherry,
     t_nk,
 )
+from iterforge.polynomials import skein_levels
 from iterforge.render import tableau_text
 from iterforge.tableaux import line_intersection_formula, multiplicity_sum_identity
 
@@ -420,4 +421,29 @@ def test_mirror_is_built_from_the_rank_blocks():
     universe.mirror(9)
     with pytest.raises(TypeError):
         universe.mirror(9)[0] = 1  # a read-only view
+    universe.signatures(9)
+    skein_levels(universe, 9)
+    assert len(universe.catalog(9).words) == catalan(9)
     assert all("decompositions" not in vars(universe.catalog(n)) for n in range(10))
+
+
+def leaf_depths(t: Term, depth: int = 0) -> tuple[int, ...]:
+    if t.is_leaf:
+        return (depth,)
+    return leaf_depths(t.left, depth + 1) + leaf_depths(t.right, depth + 1)
+
+
+def test_fold_matches_term_oracle():
+    # an arbitrary join: each label's leaf depths, left to right
+    blocks = []
+
+    def join(lo, ro, left, right):
+        blocks.append((lo, ro))
+        assert (len(left), len(right)) == (catalan(lo), catalan(ro))
+        return [tuple(d + 1 for d in a + b) for a in left for b in right]
+
+    universe = Universe(9)
+    levels = universe.fold(9, ((0,),), join)
+    assert blocks == [(lo, n - 1 - lo) for n in range(1, 10) for lo in range(n)]  # one call per block
+    catalogs, _ = term_oracle(9)
+    assert levels == [tuple(leaf_depths(t) for t in terms) for terms in catalogs]
