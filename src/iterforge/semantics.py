@@ -19,9 +19,10 @@ by (class, side, flank order, flank class); two labels that land on one
 key have their other flanks merged.  The one partition type,
 `DisjointSet`, keeps member lists; both the live partitions and the
 tables' copy as of the cursor use it, and a merge re-keys only the labels
-it moved and the labels above that use them as a flank.  The engine reads
-integer labels only and builds no `Term`.  The log stays replayable: every
-entry names the rule and the already-merged pair it came from.
+it moved and the labels above that use them as a flank, read as slices of
+the rank tables.  The engine reads integer labels only and builds no
+`Term`.  The log stays replayable: every entry names the rule and the
+already-merged pair it came from.
 
 Classifying an identity needs only a verdict's kind: the cancellation
 closure stops at its first merge below the defining order, and walks its
@@ -32,17 +33,18 @@ closure, so `classify_identity` finds it for a reducible identity, and
 right maps a closure onto the closure of the mirror identity, so the
 surveys close one identity per mirror orbit.
 
-The value records (specs, configs, verdicts, reports) are named tuples,
-as `Merge` is: a dataclass would load `inspect` and compile its methods
-with `exec` each time a command imports this module.
+The value records (specs, configs, verdicts, reports) are
+`collections.namedtuple` subclasses, as `Merge` is: a dataclass would load
+`inspect` and compile its methods with `exec` each time a command imports
+this module, and `typing.NamedTuple` would load `typing`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterator
 from heapq import heapify, heappop, heappush
 from itertools import combinations, islice
-from typing import NamedTuple
 
 from .errors import (
     CompositionNotWellDefined,
@@ -63,11 +65,10 @@ SEMANTICALLY_REDUCIBLE = "semantically-reducible"
 ESSENTIAL_UP_TO = "essential-up-to"
 
 
-class IdentitySpec(NamedTuple):
+class IdentitySpec(namedtuple("IdentitySpec", "order pairs")):
     """A set of defining label pairs at one order."""
 
-    order: int
-    pairs: tuple[tuple[int, int], ...]
+    __slots__ = ()
 
     @classmethod
     def of(cls, order: int, *pairs: tuple[int, int]) -> IdentitySpec:
@@ -75,26 +76,25 @@ class IdentitySpec(NamedTuple):
         return cls(order, tuple(normalized))
 
 
-class ClosureConfig(NamedTuple):
-    max_order: int = DEFAULT_CLOSURE_ORDER
-    mode: str = MODE_AB  # "A" | "B" | "AB"
-    unicity: bool = False
+class ClosureConfig(namedtuple(
+    "ClosureConfig", "max_order mode unicity", defaults=(DEFAULT_CLOSURE_ORDER, MODE_AB, False)
+)):
+    """The closure bound, the tableau mode ("A", "B" or "AB"), and unicity:
+    whether the cancellation laws apply."""
+
+    __slots__ = ()
 
 
-class Merge(NamedTuple):
-    """One effective union in the derivation log.
+class Merge(namedtuple("Merge", "order a b rule source")):
+    """One effective union in the derivation log: labels a and b of one order.
 
     rule is one of "identity", "tableau-A", "tableau-B", "cancel-left",
-    "cancel-right"; source names the pair (and tableau line) it came from.
-    A named tuple, since the log holds one per effective union and a tuple
-    is the cheapest immutable record to build.
+    "cancel-right"; source names the pair (and tableau line) it came from,
+    or is None.  A named tuple, since the log holds one per effective union
+    and a tuple is the cheapest immutable record to build.
     """
 
-    order: int
-    a: int
-    b: int
-    rule: str
-    source: tuple | None
+    __slots__ = ()
 
 
 class DisjointSet:
@@ -301,12 +301,14 @@ class _SignatureTables:
     its order's table under a left key (class, 0, left order, left class)
     and a right key (class, 1, right order, right class).  A label arriving
     on a key already held by another merges the two labels' other flanks.
+    A merge also re-keys the labels above that use a moved label as a flank:
+    slices of their rank tables (`Catalog.users`).
     """
 
     def __init__(self, state: ClosureState, universe: Universe):
         bound = state.config.max_order
         self.decomp = [()] + [universe.decompositions(m) for m in range(1, bound + 1)]
-        self.uses = [()] + [universe.flank_uses(m) for m in range(1, bound + 1)]
+        self.cats = [universe.catalog(m) for m in range(bound + 1)]
         self.parts = [DisjointSet(len(p.owner) - 1) for p in state.partitions]
         self.tables: list[dict[tuple[int, int, int, int], int]] = [{} for _ in state.partitions]
 
@@ -333,9 +335,10 @@ class _SignatureTables:
             if live[m - 1 - k].count == 1:  # a flank of order k leaves the other one order m-1-k
                 continue
             owner_m, members_m = self.parts[m].owner, self.parts[m].members
-            for side, uses in enumerate(self.uses[m]):
+            cat = self.cats[m]
+            for side in (0, 1):
                 for x in moved:
-                    for z in uses[k][x - 1]:
+                    for z in cat.users(side, k, x):
                         if owner_m[z] in members_m:
                             self._key(state, m, z, side)
 
@@ -425,10 +428,11 @@ def implication_pairs(universe: Universe, n: int, k: int) -> tuple[int, tuple[tu
 # -- classification ----------------------------------------------------------
 
 
-class Verdict(NamedTuple):
-    kind: str  # FORMALLY_REDUCIBLE | SEMANTICALLY_REDUCIBLE | ESSENTIAL_UP_TO
-    bound: int
-    witness: tuple[tuple[int, int, int], ...] | None = None
+class Verdict(namedtuple("Verdict", "kind bound witness", defaults=(None,))):
+    """kind is FORMALLY_REDUCIBLE, SEMANTICALLY_REDUCIBLE or ESSENTIAL_UP_TO;
+    witness is a chain of (order, i, j) steps, or None."""
+
+    __slots__ = ()
 
     def __str__(self) -> str:
         if self.kind == ESSENTIAL_UP_TO:
@@ -572,12 +576,10 @@ def compose_classes(
 # -- bounds and surveys ------------------------------------------------------
 
 
-class BoundsReport(NamedTuple):
-    order: int
-    classnumber: int
-    lower_bound: int  # S_{n-1}
-    min_class_size: int
-    ok: bool
+class BoundsReport(namedtuple("BoundsReport", "order classnumber lower_bound min_class_size ok")):
+    """`unicity_bounds_check` at the defining order; lower_bound is S_{n-1}."""
+
+    __slots__ = ()
 
 
 def unicity_bounds_check(universe: Universe, state: ClosureState) -> BoundsReport:
@@ -590,13 +592,12 @@ def unicity_bounds_check(universe: Universe, state: ClosureState) -> BoundsRepor
     return BoundsReport(n, h, lower, min_size, h >= lower and min_size <= 3)
 
 
-class ColumnSurvey(NamedTuple):
-    order: int
-    bound: int
-    column_pairs: tuple[tuple[int, int], ...]
-    column_verdicts: tuple[Verdict, ...]
-    other_pairs: tuple[tuple[int, int], ...]
-    other_verdicts: tuple[Verdict, ...]
+class ColumnSurvey(namedtuple(
+    "ColumnSurvey", "order bound column_pairs column_verdicts other_pairs other_verdicts"
+)):
+    """`column_pair_survey`'s column pairs and other pairs, each with its `Verdict`s."""
+
+    __slots__ = ()
 
     @property
     def essential_columns(self) -> tuple[tuple[int, int], ...]:
@@ -650,10 +651,10 @@ def order4_sample_formula(n: int) -> int:
     return catalan(n) - 2 * (4 ** (n - 3) - 1) // 3 + (n - 2) * (n - 3) // 2
 
 
-class FormulaSurvey(NamedTuple):
-    bound: int
-    expected: tuple[int, ...]  # formula values for orders 3..bound
-    sequences: dict[tuple[int, int], tuple[int, ...]]
+class FormulaSurvey(namedtuple("FormulaSurvey", "bound expected sequences")):
+    """`order4_formula_survey`: the formula's h_3..h_bound and each pair's sequence of them."""
+
+    __slots__ = ()
 
     def matching_through(self, order: int) -> tuple[tuple[int, int], ...]:
         width = order - 2

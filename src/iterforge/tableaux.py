@@ -4,7 +4,8 @@ A term V(L, R) of order n, with L of order lo and labels la of L and rb of
 R, has the key (lo, la, rb).  The keys of order n rank one to one onto
 0..S_n-1 as off[lo] + (la-1)*S_{n-1-lo} + (rb-1), where off[lo] =
 sum_{i<lo} S_i*S_{n-1-i} (Knuth, TAOCP 4A 7.2.1.6), so a level is two
-arrays: `rank_to_label` and its inverse `label_to_rank`.
+arrays: `rank_to_label` and its inverse `label_to_rank`.  A run of ranks
+holds the terms with one left flank, and a strided slice those with one right.
 
 Level n is built from level n-1 by label arithmetic alone.  Row k of the
 substitution grid A_n plants Vxx at leaf k of every (n-1)-term V(L, R) in
@@ -60,7 +61,8 @@ class Catalog:
 
     The build stores the rank table, its inverse and the rows of A_n as
     arrays.  Decompositions, the tableaux as tuples, `terms`, `words` and
-    `mirror` are views, built once, on first use.
+    `mirror` are views, built once, on first use; their inverse, `users`,
+    is a slice of the rank table.
     """
 
     def __init__(self, order: int, lower: tuple[Catalog, ...]):
@@ -154,13 +156,17 @@ class Catalog:
             return map(label_of_rank, chain.from_iterable(map(m.__add__, columns) for m in left))
         return self.fold([cat.mirror for cat in self._lower], block)
 
-    @cached_property
-    def flank_uses(self) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
-        sides = [[[[] for _ in range(len(cat))] for cat in self._lower] for _ in range(2)]
-        for label, (lo, la, ro, rb) in enumerate(self.decompositions, start=1):
-            sides[0][lo][la - 1].append(label)
-            sides[1][ro][rb - 1].append(label)
-        return tuple(tuple(tuple(tuple(users) for users in by_label) for by_label in side) for side in sides)
+    def users(self, side: int, k: int, x: int) -> array:
+        """The labels of this order whose left (side 0) or right (side 1)
+        flank is label x of order k < n, in rank order, which through order
+        12 is label order too.  With ro = n-1-k, the left flank x holds S_ro
+        ranks from off[k] + (x-1)*S_ro, and the right flank x every S_k-th
+        rank from off[ro] + x-1 to off[ro+1]."""
+        ro, off = self.order - 1 - k, self.offsets
+        if side == 0:
+            start = off[k] + (x - 1) * self._sizes[ro]
+            return self.rank_to_label[start : start + self._sizes[ro]]
+        return self.rank_to_label[off[ro] + x - 1 : off[ro + 1] : self._sizes[k]]
 
     def term(self, label: int) -> Term:
         self.check_label(label)
@@ -305,14 +311,6 @@ class Universe:
         if order < 1:
             raise ValueError("the leaf does not decompose")
         return self.catalog(order).decompositions
-
-    def flank_uses(self, order: int) -> tuple[tuple[tuple[tuple[int, ...], ...], ...], ...]:
-        """Inverse of decompositions(order), one part per side: part[k][x-1]
-        holds the labels of this order whose left (part 0) or right (part 1)
-        flank is label x of order k."""
-        if order < 1:
-            raise ValueError("the leaf does not decompose")
-        return self.catalog(order).flank_uses
 
     # -- counting ----------------------------------------------------------
 

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import math
 import time
+from collections import namedtuple
 from itertools import combinations, islice, product
 from operator import lt
-from typing import NamedTuple
 
 from . import incidence, polynomials, semantics, tableaux, terms
 from .errors import MalformedWord
@@ -150,10 +150,10 @@ class Check:
         self.elapsed_ms = elapsed_ms
 
 
-class VerifyReport(NamedTuple):
-    max_order: int
-    closure_order: int
-    checks: list[Check]
+class VerifyReport(namedtuple("VerifyReport", "max_order closure_order checks")):
+    """The verify order, the closure bound and the list of `Check`s run."""
+
+    __slots__ = ()
 
     @property
     def failed(self) -> list[Check]:

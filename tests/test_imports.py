@@ -1,6 +1,7 @@
 """The package exports its names lazily. Each command loads only the engine
 modules it uses, never `dataclasses` or `inspect`, and `fractions` only
-where it builds a Fraction; `catalan` and `skein` load no `typing`."""
+where it builds a Fraction; `catalan`, `skein`, `incidence`, `classify` and
+`verify` load no `typing`."""
 
 import ast
 import importlib
@@ -122,7 +123,13 @@ def test_only_json_output_loads_json(tmp_path, argv):
 
 @pytest.mark.parametrize(
     "argv",
-    [["catalan", "convolution", "2", "10"], ["skein", "VVxxVxx"], ["incidence", "--order", "4"]],
+    [
+        ["catalan", "convolution", "2", "10"],
+        ["skein", "VVxxVxx"],
+        ["incidence", "--order", "4"],
+        ["classify", "3", "1", "5", "--order", "6"],
+        ["verify", "--order", "4"],
+    ],
     ids=" ".join,
 )
 def test_polynomials_commands_load_no_typing_without_site(tmp_path, argv):
@@ -133,8 +140,8 @@ def test_polynomials_commands_load_no_typing_without_site(tmp_path, argv):
     )
     code, loaded = ast.literal_eval(proc.stderr.strip().splitlines()[-1])
     assert code == 0
-    engine = "iterforge.incidence" if argv[0] == "incidence" else "iterforge.polynomials"
-    assert engine in loaded and "typing" not in loaded
+    engine = {"incidence": "incidence", "classify": "semantics", "verify": "verify"}.get(argv[0], "polynomials")
+    assert f"iterforge.{engine}" in loaded and "typing" not in loaded
 
 
 def test_importing_the_cli_loads_no_engine_beyond_tableaux():

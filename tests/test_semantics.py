@@ -1,5 +1,6 @@
 """Closure engine, classnumbers, classification, and the class algebra."""
 
+import copy
 import hashlib
 import json
 from collections import deque
@@ -315,6 +316,17 @@ def test_replay_reproduces_partitions(universe):
     for pair, unicity in [((2, 4), False), ((1, 5), True), ((1, 4), True)]:
         state = close(IdentitySpec.of(3, pair), ClosureConfig(6, "AB", unicity), universe)
         assert replay(universe, state)
+
+
+def test_replay_rejects_swapped_cancellation_entries(universe):
+    state = close(IdentitySpec.of(3, (1, 5)), ClosureConfig(6, "AB", True), universe)
+    for rule in ("cancel-left", "cancel-right"):
+        i = next(i for i, merge in enumerate(state.log) if merge.rule == rule)
+        forged = copy.copy(state)
+        forged.log = list(state.log)
+        forged.log[i] = state.log[i]._replace(a=state.log[i].b, b=state.log[i].a)
+        assert replay(universe, forged) is False, rule
+    assert replay(universe, state) is True
 
 
 def test_invalid_specs(universe):

@@ -366,10 +366,24 @@ def test_build_creates_no_terms(monkeypatch):
     for n in range(1, 10):
         universe.grid_aplusb(n)
         universe.decompositions(n)
-        universe.flank_uses(n)
     assert made == []
     universe.catalog(2).term(1)  # the view decodes on demand
     assert len(made) == catalan(1) + catalan(2)
+
+
+def test_users_invert_decompositions():
+    # the rank-table slices against the inverse built label by label, in label order
+    universe = Universe(10)
+    for n in range(1, 11):
+        cat = universe.catalog(n)
+        inverse = [[[[] for _ in range(catalan(k))] for k in range(n)] for _ in range(2)]
+        for label, (lo, la, ro, rb) in enumerate(cat.decompositions, start=1):
+            inverse[0][lo][la - 1].append(label)
+            inverse[1][ro][rb - 1].append(label)
+        for side, by_order in enumerate(inverse):
+            for k, by_label in enumerate(by_order):
+                for x, users in enumerate(by_label, start=1):
+                    assert cat.users(side, k, x).tolist() == users, (n, side, k, x)
 
 
 def test_multiplicity_counts_every_label(universe):
