@@ -315,22 +315,29 @@ def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> Iterator[str]:
     argument checks and the lower levels run before this returns, so bad
     input raises at the call.
 
-    While level n streams, the lower levels are held as plain sorted word
-    lists, with the sizes in lists beside them rather than in per-word
-    records, and each yielded list holds a few thousand words at most
-    (`_sorted_chunks`): level 7 of (2, 3) peaks near 4 MB under
-    tracemalloc, most of it the words of level 6.
+    While level n streams, the levels below n - 1 are held as plain sorted
+    word lists, with the sizes in lists beside them rather than in per-word
+    records.  Level n - 1, the largest, is held as "\\n"-joined runs, one
+    before each smaller word and one after the last (`_runs`): its words
+    enter level n only beside leaves, as op x^(p-1) w x^(a-p) for an
+    operation op of arity a, so one `replace` and one `split` spell a whole
+    run.  Each yielded list holds a few thousand words at most
+    (`_sorted_chunks`): level 7 of (2, 3) peaks near 2.3 MB under
+    tracemalloc.
     """
     _check_arities(arities)
     if n < 0:
         raise ValueError("n must be nonnegative")
     ops = sorted((op_symbol(index), a) for index, a in enumerate(arities))
-    # levels[m]: the sorted words of size m; upto[b]: the sorted words of
-    # every size <= b and, index for index, their sizes
+    # levels[m]: the sorted words of size m, as (runs, below) for m = n - 1;
+    # upto[b], b < n - 1: the sorted words of every size <= b and, index for
+    # index, their sizes
     levels, upto = [["x"]], [(["x"], [0])]
-    for m in range(1, n):
+    for m in range(1, n - 1):
         levels.append(list(chain.from_iterable(_sorted_chunks(ops, levels, upto, m))))
         upto.append(_merged(upto[-1], levels[m], m))
+    if n > 1:
+        levels.append(_runs(upto[-1][0], _sorted_chunks(ops, levels, upto, n - 1)))
     return chain.from_iterable(_sorted_chunks(ops, levels, upto, n)) if n else iter(levels[0])
 
 
@@ -346,6 +353,31 @@ def _merged(lower, level: list[str], m: int) -> tuple[list[str], list[int]]:
         index = bisect_left(merged, word, index)
         merged_sizes[index] = size
     return merged, merged_sizes
+
+
+def _runs(lower: list[str], chunks) -> tuple[list[str], list[int]]:
+    """The top lower level, from its sorted lists, as "\\n"-joined runs:
+    runs[i] holds its words between lower[i - 1] and lower[i], the last
+    run those above lower[-1]; below[i] counts its words below lower[i]."""
+    runs, below, carry, i, seen = [], [], [], 0, 0
+    for chunk in chunks:
+        j = bisect_left(lower, chunk[-1], i)
+        cuts = [bisect_left(chunk, word) for word in lower[i:j]]
+        if cuts:
+            runs.append("\n".join(carry + chunk[: cuts[0]]))
+            runs += map("\n".join, map(chunk.__getitem__, map(slice, cuts, cuts[1:])))
+            below += [seen + cut for cut in cuts]
+            carry = chunk[cuts[-1] :]
+        else:
+            carry += chunk
+        i, seen = j, seen + len(chunk)
+    runs.append("\n".join(carry))
+    return runs + [""] * (len(lower) - i), below + [seen] * (len(lower) - i)
+
+
+def _spell(run: str, prefix: str, suffix: str) -> list[str]:
+    """prefix + word + suffix for each word of a "\\n"-joined run."""
+    return (prefix + run.replace("\n", suffix + "\n" + prefix) + suffix).split("\n")
 
 
 _CHUNK = 1024  # first children per list comprehension over the last two slots
@@ -369,8 +401,14 @@ def _sorted_chunks(ops, levels, upto, m: int) -> Iterator[list[str]]:
     own.  No level is shorter than the one below it, so these are the
     first children of size <= budget - t, for t the lowest level longer
     than _CAP: the few words of upto[budget - t], found in upto[budget] by
-    bisection.  Level 7 of (2, 3) comes in 8,812 lists of at most 6,025
-    words.
+    bisection.
+
+    The walks whose budget is the top lower level read it as runs
+    (`_top_forests`).  Over the last two slots their lists take the first
+    children of the smaller words in the same way, and each list also
+    takes the runs that fall between those first children, spelled with a
+    trailing leaf and merged in with one sort.  Level 7 of (2, 3) comes in
+    8,804 lists of at most 6,088 words.
     """
     t = next((k for k, level in enumerate(levels) if len(level) > _CAP), m)
     for symbol, a in ops:
@@ -382,6 +420,9 @@ def _forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iter
     `slots` children spending `budget`; t is the lowest level longer than
     _CAP.  A module-level generator, not a closure over itself, so no
     reference cycle keeps the levels alive once the walk is dropped."""
+    if budget == len(upto):
+        yield from _top_forests(levels, upto, t, prefix, slots, budget)
+        return
     words, sizes = upto[budget]
     if slots > 2:
         batch, leaves = [], "x" * (slots - 1)
@@ -412,6 +453,59 @@ def _forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iter
             head, level = prefix + words[stop], levels[budget - sizes[stop]]
             for lo in range(0, len(level), _CAP):
                 yield [head + last for last in level[lo : lo + _CAP]]
+        start = stop + 1
+
+
+def _top_forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
+    """`_forests` for budget the top lower level, which is held as runs.
+    A run's words spend the whole budget, so each is spelled with the
+    leaves of the later slots; the leaf as first child puts the whole top
+    level in the last slot.  Over the last two slots a list takes at most
+    _CHUNK smaller first children, and stops sooner where the runs after
+    its first one pass _CHUNK words."""
+    (runs, below), (words, sizes) = levels[budget], upto[budget - 1]
+    if slots > 2:
+        leaves = "x" * (slots - 1)
+        for run, first, size in zip(runs, words, sizes):
+            if run:
+                yield _spell(run, prefix, leaves)
+            yield from _forests(levels, upto, t, prefix + first, slots - 1, budget - size)
+        if runs[-1]:
+            yield _spell(runs[-1], prefix, leaves)
+        return
+    cuts = [bisect_left(words, first) for first in upto[max(budget - t, 0)][0]]
+    start = 0
+    for stop in cuts + [len(words)]:
+        lo = start
+        while lo < stop:
+            hi = min(bisect_left(below, below[lo] + _CHUNK, lo + 1, stop), lo + _CHUNK)
+            chunk = [
+                head + last
+                for first, size in zip(words[lo:hi], sizes[lo:hi])
+                for head in (prefix + first,)
+                for last in levels[budget - size]
+            ]
+            text = "\n".join(filter(None, runs[lo:hi]))
+            if text:
+                chunk += _spell(text, prefix, "x")
+                chunk.sort()  # two sorted runs: one merge
+            yield chunk
+            lo = hi
+        if runs[stop]:
+            yield _spell(runs[stop], prefix, "x")
+        if stop == len(words):
+            return
+        head = prefix + words[stop]
+        if sizes[stop]:
+            level = levels[budget - sizes[stop]]
+            for lo in range(0, len(level), _CAP):
+                yield [head + last for last in level[lo : lo + _CAP]]
+        else:  # the leaf first child: lists of about _CAP words of the top level
+            starts = [0] + [bisect_left(below, k) + 1 for k in range(_CAP, below[-1] + 1, _CAP)]
+            for lo, hi in zip(starts, starts[1:] + [len(runs)]):
+                text = "\n".join(filter(None, runs[lo:hi]))
+                if text:
+                    yield _spell(text, head, "")
         start = stop + 1
 
 

@@ -1,6 +1,7 @@
 """Skein polynomials, collision counts, series, and the convolution relations."""
 
 import gc
+import operator
 import tracemalloc
 from fractions import Fraction
 
@@ -394,6 +395,28 @@ def test_level_n_streams_from_plain_lower_levels():
         tracemalloc.stop()
     assert count == 312066
     assert peak < 6 * 10**6, peak
+
+
+def test_oracle_holds_top_level_as_text():
+    # one str per word of level 6 peaks near 4.1 MB here, "\n"-joined runs
+    # of level 6 near 2.3 MB
+    tracemalloc.start()
+    try:
+        count = sum(1 for _ in enumerate_trees_mixed((2, 3), 7))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == 312066
+    assert peak < 3 * 10**6, peak
+
+
+@pytest.mark.parametrize("arities, n", [((2,) * 30, 3), ((2, 3), 7)])
+def test_large_levels_increase_and_decode(arities, n):
+    # past the tuple oracle's reach; 30 operations put symbols above "x"
+    words = list(enumerate_trees_mixed(arities, n))
+    assert len(words) == series_mixed(arities, n)[n]
+    assert all(map(operator.lt, words, words[1:]))
+    assert all(count_word_operations(w, arities) == n for w in words)
 
 
 def test_dropped_level_stream_leaves_no_cycle():
