@@ -329,7 +329,7 @@ def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> Iterator[str]:
     if n < 0:
         raise ValueError("n must be nonnegative")
     ops = sorted((op_symbol(index), a) for index, a in enumerate(arities))
-    # levels[m]: the sorted words of size m, as (runs, below) for m = n - 1;
+    # levels[m]: the sorted words of size m, as (runs, pos) for m = n - 1;
     # upto[b], b < n - 1: the sorted words of every size <= b and, index for
     # index, their sizes
     levels, upto = [["x"]], [(["x"], [0])]
@@ -358,21 +358,22 @@ def _merged(lower, level: list[str], m: int) -> tuple[list[str], list[int]]:
 def _runs(lower: list[str], chunks) -> tuple[list[str], list[int]]:
     """The top lower level, from its sorted lists, as "\\n"-joined runs:
     runs[i] holds its words between lower[i - 1] and lower[i], the last
-    run those above lower[-1]; below[i] counts its words below lower[i]."""
-    runs, below, carry, i, seen = [], [], [], 0, 0
+    run those above lower[-1]; pos[i] is the index of lower[i] among the
+    words of both."""
+    runs, pos, carry, i, seen = [], [], [], 0, 0
     for chunk in chunks:
         j = bisect_left(lower, chunk[-1], i)
         cuts = [bisect_left(chunk, word) for word in lower[i:j]]
         if cuts:
             runs.append("\n".join(carry + chunk[: cuts[0]]))
             runs += map("\n".join, map(chunk.__getitem__, map(slice, cuts, cuts[1:])))
-            below += [seen + cut for cut in cuts]
+            pos += [seen + cut + k for k, cut in enumerate(cuts, i)]
             carry = chunk[cuts[-1] :]
         else:
             carry += chunk
         i, seen = j, seen + len(chunk)
     runs.append("\n".join(carry))
-    return runs + [""] * (len(lower) - i), below + [seen] * (len(lower) - i)
+    return runs + [""] * (len(lower) - i), pos + list(range(seen + i, seen + len(lower)))
 
 
 def _spell(run: str, prefix: str, suffix: str) -> list[str]:
@@ -401,16 +402,15 @@ def _sorted_chunks(ops, levels, upto, m: int) -> Iterator[list[str]]:
     own.  No level is shorter than the one below it, so these are the
     first children of size <= budget - t, for t the lowest level longer
     than _CAP: the few words of upto[budget - t], found in upto[budget] by
-    bisection.
+    bisection.  The top lower level, held as runs, counts as long.
 
-    The walks whose budget is the top lower level read it as runs
-    (`_top_forests`).  Over the last two slots their lists take the first
-    children of the smaller words in the same way, and each list also
-    takes the runs that fall between those first children, spelled with a
-    trailing leaf and merged in with one sort.  Level 7 of (2, 3) comes in
-    8,804 lists of at most 6,088 words.
+    A walk whose budget is the top lower level takes its first children
+    from the smaller words and the runs between them.  Over the last two
+    slots a list ends at a smaller first child, spells the runs it covers
+    with a trailing leaf, and merges them in with one sort.  Level 7 of
+    (2, 3) comes in 8,814 lists of at most 6,016 words.
     """
-    t = next((k for k, level in enumerate(levels) if len(level) > _CAP), m)
+    t = min(next((k for k, level in enumerate(levels) if len(level) > _CAP), m), len(upto))
     for symbol, a in ops:
         yield from _forests(levels, upto, t, symbol, a, m - 1)
 
@@ -420,12 +420,22 @@ def _forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iter
     `slots` children spending `budget`; t is the lowest level longer than
     _CAP.  A module-level generator, not a closure over itself, so no
     reference cycle keeps the levels alive once the walk is dropped."""
-    if budget == len(upto):
-        yield from _top_forests(levels, upto, t, prefix, slots, budget)
+    if budget < len(upto):
+        (words, sizes), runs = upto[budget], None
+        pos = range(len(words))
+    else:  # the top lower level: the smaller words, and the runs between them
+        (runs, pos), (words, sizes) = levels[budget], upto[budget - 1]
+    leaves = "x" * (slots - 1)
+    if slots > 2 and runs:
+        for run, first, size in zip(runs, words, sizes):
+            if run:
+                yield _spell(run, prefix, leaves)
+            yield from _forests(levels, upto, t, prefix + first, slots - 1, budget - size)
+        if runs[-1]:
+            yield _spell(runs[-1], prefix, leaves)
         return
-    words, sizes = upto[budget]
     if slots > 2:
-        batch, leaves = [], "x" * (slots - 1)
+        batch = []
         for first, size in zip(words, sizes):
             if size == budget:
                 batch.append(prefix + first + leaves)
@@ -441,67 +451,32 @@ def _forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iter
     cuts = [bisect_left(words, first) for first in upto[budget - t][0]] if budget >= t else []
     start = 0
     for stop in cuts + [len(words)]:
-        for lo in range(start, stop, _CHUNK):
-            hi = min(lo + _CHUNK, stop)
-            yield [
-                head + last
-                for first, size in zip(words[lo:hi], sizes[lo:hi])
-                for head in (prefix + first,)
-                for last in levels[budget - size]
-            ]
-        if stop < len(words):
-            head, level = prefix + words[stop], levels[budget - sizes[stop]]
-            for lo in range(0, len(level), _CAP):
-                yield [head + last for last in level[lo : lo + _CAP]]
-        start = stop + 1
-
-
-def _top_forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
-    """`_forests` for budget the top lower level, which is held as runs.
-    A run's words spend the whole budget, so each is spelled with the
-    leaves of the later slots; the leaf as first child puts the whole top
-    level in the last slot.  Over the last two slots a list takes at most
-    _CHUNK smaller first children, and stops sooner where the runs after
-    its first one pass _CHUNK words."""
-    (runs, below), (words, sizes) = levels[budget], upto[budget - 1]
-    if slots > 2:
-        leaves = "x" * (slots - 1)
-        for run, first, size in zip(runs, words, sizes):
-            if run:
-                yield _spell(run, prefix, leaves)
-            yield from _forests(levels, upto, t, prefix + first, slots - 1, budget - size)
-        if runs[-1]:
-            yield _spell(runs[-1], prefix, leaves)
-        return
-    cuts = [bisect_left(words, first) for first in upto[max(budget - t, 0)][0]]
-    start = 0
-    for stop in cuts + [len(words)]:
         lo = start
         while lo < stop:
-            hi = min(bisect_left(below, below[lo] + _CHUNK, lo + 1, stop), lo + _CHUNK)
+            hi = bisect_left(pos, pos[lo] + _CHUNK, lo + 1, stop)
             chunk = [
                 head + last
                 for first, size in zip(words[lo:hi], sizes[lo:hi])
                 for head in (prefix + first,)
                 for last in levels[budget - size]
             ]
-            text = "\n".join(filter(None, runs[lo:hi]))
+            text = runs and "\n".join(filter(None, runs[lo:hi]))
             if text:
-                chunk += _spell(text, prefix, "x")
+                chunk += _spell(text, prefix, leaves)
                 chunk.sort()  # two sorted runs: one merge
             yield chunk
             lo = hi
-        if runs[stop]:
-            yield _spell(runs[stop], prefix, "x")
+        if runs and runs[stop]:
+            yield _spell(runs[stop], prefix, leaves)
         if stop == len(words):
             return
-        head = prefix + words[stop]
-        if sizes[stop]:
-            level = levels[budget - sizes[stop]]
+        head, low = prefix + words[stop], budget - sizes[stop]
+        if low < len(upto):
+            level = levels[low]
             for lo in range(0, len(level), _CAP):
                 yield [head + last for last in level[lo : lo + _CAP]]
-        else:  # the leaf first child: lists of about _CAP words of the top level
-            starts = [0] + [bisect_left(below, k) + 1 for k in range(_CAP, below[-1] + 1, _CAP)]
+        else:  # the leaf before the top lower level: about _CAP words a list
+            starts = [0] + [bisect_left(pos, k) + 1 for k in range(_CAP, pos[-1] + 1, _CAP)]
             for lo, hi in zip(starts, starts[1:] + [len(runs)]):
                 text = "\n".join(filter(None, runs[lo:hi]))
                 if text:
