@@ -15,6 +15,18 @@ seeds run the parent first and even seeds the change first.  The output
 holds, per workload and end-to-end metric, every run's value, the median
 and quartiles of each side, and the number of pairs the change won, with
 the seeds, the command, the Python version and the processor count.
+
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_36.json \
+        --inprocess "verify.run_verify(9, 7)"
+
+--inprocess CALL adds a same-process A/B beside the benchmark runs.  For
+every seed, after its workloads, each side runs CALL PASSES times in one
+fresh interpreter in its checkout's root, with its `src` on PYTHONPATH,
+in the same alternating order.  CALL is Python whose first name is a
+module of the package, imported under that name first; each pass is
+timed with `time.perf_counter`.  The `inprocess` section holds, per side,
+each pair's median pass and the process's `ru_maxrss`, their medians and
+quartiles, and the number of pairs the change won.
 """
 
 from __future__ import annotations
@@ -31,6 +43,7 @@ from statistics import median, quantiles
 METRICS = ("latency_p50_ms", "peak_rss_mb", "setup_s")  # all lower-is-better
 WORKLOADS = "verify,cli"
 SEEDS = tuple(range(11, 21))
+PASSES = 6  # passes of an --inprocess call per process
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -42,9 +55,43 @@ def run_once(checkout: Path, workload: str, seed: int) -> dict:
     return json.loads(lines[-1])
 
 
+INPROCESS_PROBE = """
+import importlib, json, resource, sys, time
+call, passes = sys.argv[1], int(sys.argv[2])
+name = call.split(".", 1)[0]
+namespace = {name: importlib.import_module("iterforge." + name)}
+code = compile(call, "<call>", "exec")
+times = []
+for _ in range(passes):
+    start = time.perf_counter()
+    exec(code, namespace)
+    times.append((time.perf_counter() - start) * 1000)
+print(json.dumps({"ms": times, "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}))
+"""
+
+
+def run_inprocess(checkout: Path, call: str) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(checkout / "src"))
+    argv = [sys.executable, "-c", INPROCESS_PROBE, call, str(PASSES)]
+    proc = subprocess.run(argv, cwd=checkout, env=env, capture_output=True, text=True, timeout=1800)
+    if proc.returncode:
+        raise RuntimeError(f"{checkout}: {call} failed: {proc.stderr[-500:]}")
+    return json.loads(proc.stdout)
+
+
 def summary(values: list[float]) -> dict:
     q1, _, q3 = quantiles(values, n=4, method="inclusive")
     return {"median": median(values), "q1": q1, "q3": q3, "runs": values}
+
+
+def compared(values: dict) -> dict:
+    """Both sides' summaries and the pairs in which the change was lower."""
+    wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
+    return {
+        "parent": summary(values["parent"]),
+        "change": summary(values["change"]),
+        "change_better_pairs": f"{wins}/{len(values['parent'])}",
+    }
 
 
 def main(argv=None) -> int:
@@ -53,11 +100,13 @@ def main(argv=None) -> int:
     parser.add_argument("change", type=Path)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workloads", default=WORKLOADS, help=f"comma-separated (default {WORKLOADS})")
+    parser.add_argument("--inprocess", metavar="CALL", help='e.g. "verify.run_verify(9, 7)"')
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
 
     sides = {"parent": args.parent, "change": args.change}
     results = {w: {side: [] for side in sides} for w in workloads}
+    inprocess = {side: [] for side in sides}
     for seed in SEEDS:
         order = ["parent", "change"] if seed % 2 else ["change", "parent"]
         for workload in workloads:
@@ -66,6 +115,10 @@ def main(argv=None) -> int:
                 results[workload][side].append(result)
                 p50 = result["metrics"]["latency_p50_ms"]["value"]
                 print(f"seed {seed} {workload} {side}: p50 {p50:.1f} ms, failed {result['failed']}", flush=True)
+        for side in order if args.inprocess else ():
+            result = run_inprocess(sides[side], args.inprocess)
+            inprocess[side].append(result)
+            print(f"seed {seed} inprocess {side}: median {median(result['ms']):.1f} ms", flush=True)
 
     record = {
         "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED",
@@ -79,16 +132,17 @@ def main(argv=None) -> int:
     for workload, by_side in results.items():
         entry = {}
         for metric in METRICS:
-            values = {side: [r["metrics"][metric]["value"] for r in runs] for side, runs in by_side.items()}
-            wins = sum(c < p for p, c in zip(values["parent"], values["change"]))
-            entry[metric] = {
-                "parent": summary(values["parent"]),
-                "change": summary(values["change"]),
-                "change_better_pairs": f"{wins}/{len(SEEDS)}",
-            }
+            entry[metric] = compared({side: [r["metrics"][metric]["value"] for r in runs] for side, runs in by_side.items()})
         entry["failed"] = {side: sum(r["failed"] for r in runs) for side, runs in by_side.items()}
         entry["attempted"] = {side: sum(r["attempted"] for r in runs) for side, runs in by_side.items()}
         record["workloads"][workload] = entry
+    if args.inprocess:
+        record["inprocess"] = {
+            "call": args.inprocess,
+            "passes": PASSES,
+            "median_ms": compared({side: [median(r["ms"]) for r in runs] for side, runs in inprocess.items()}),
+            "peak_rss_mb": compared({side: [r["peak_rss_mb"] for r in runs] for side, runs in inprocess.items()}),
+        }
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

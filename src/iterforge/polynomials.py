@@ -17,7 +17,6 @@ command.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from collections import Counter, namedtuple
 from collections.abc import Iterator
 from itertools import chain
@@ -200,9 +199,10 @@ class PowerSeries:
         return PowerSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __mul__(self, other: PowerSeries) -> PowerSeries:
-        d = self.degree
+        """The product, truncated at the smaller degree, as `+` is."""
+        d = min(self.degree, other.degree)
         out = [0] * (d + 1)
-        for i, a in enumerate(self.coeffs):
+        for i, a in enumerate(self.coeffs[: d + 1]):
             if a == 0:
                 continue
             for j in range(d + 1 - i):
@@ -212,9 +212,10 @@ class PowerSeries:
         return PowerSeries(tuple(out))
 
     def shift(self, k: int = 1) -> PowerSeries:
-        """Multiply by t^k."""
-        d = self.degree
-        return PowerSeries((0,) * k + self.coeffs[: d + 1 - k])
+        """Multiply by t^k, k >= 0, keeping the degree."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        return PowerSeries(((0,) * min(k, len(self.coeffs)) + self.coeffs)[: len(self.coeffs)])
 
     def power(self, e: int) -> PowerSeries:
         result = self if e else PowerSeries.constant(1, self.degree)
@@ -262,8 +263,7 @@ def series_mixed(arities, degree: int) -> PowerSeries:
 def catalan_general(a: int, n: int) -> int:
     """Closed-form tree count for a single arity a:
     comb(a*n, n) / ((a-1)*n + 1)."""
-    if not isinstance(a, int) or a < 2:
-        raise BadArity(f"arity {a!r} is not an integer >= 2")
+    _check_arities((a,))
     if n < 0:
         raise ValueError("n must be nonnegative")
     return comb(a * n, n) // ((a - 1) * n + 1)
@@ -272,8 +272,7 @@ def catalan_general(a: int, n: int) -> int:
 def catalan_general_sequence(a: int, top: int) -> list[int]:
     """catalan_general(a, n) for n = 0..top, each term from the one before:
     C(n+1) = C(n) * (an+1)...(an+a) / ((n+1) * ((a-1)n+2)...((a-1)n+a))."""
-    if not isinstance(a, int) or a < 2:
-        raise BadArity(f"arity {a!r} is not an integer >= 2")
+    _check_arities((a,))
     if top < 0:
         raise ValueError("top must be nonnegative")
     terms = [1]
@@ -298,190 +297,51 @@ def enumerate_trees_mixed(arities: tuple[int, ...], n: int) -> Iterator[str]:
 
     Trees are prefix words: a node is the symbol op_symbol(i) of its
     operation arities[i] followed by its children's words, a leaf is "x".
-    With one character per operation every word decodes uniquely, whatever
-    the number of operations.  The trees are built one by one, never from
-    the series or the counts, so this is an independent counting oracle
-    for both.
+    They are built one by one, never from the series or the counts, so
+    this is an independent counting oracle.  Returns an iterator over level
+    n in strictly increasing code-point order; level n is never held.
 
-    Returns an iterator over level n, yielded in strictly increasing
-    code-point order; level n is never held.  The words form a prefix-free
-    code, so two concatenations of the same number of trees compare as
-    their first differing tree.  Taking the operations in symbol order,
-    and each child, first child outermost, in word order from the words of
-    every size that fit the remaining budget, therefore yields sorted
-    words.  A first child that spends the whole budget forces a leaf into
-    every later slot; such words are gathered into lists during the same
-    walk, which changes how the words are packed but not their order.  The
-    argument checks and the lower levels run before this returns, so bad
-    input raises at the call.
-
-    While level n streams, the levels below n - 1 are held as plain sorted
-    word lists, with the sizes in lists beside them rather than in per-word
-    records.  Level n - 1, the largest, is held as "\\n"-joined runs, one
-    before each smaller word and one after the last (`_runs`): its words
-    enter level n only beside leaves, as op x^(p-1) w x^(a-p) for an
-    operation op of arity a, so one `replace` and one `split` spell a whole
-    run.  Each yielded list holds a few thousand words at most
-    (`_sorted_chunks`): level 7 of (2, 3) peaks near 2.3 MB under
-    tracemalloc.
+    A prefix's completions depend only on its open slots and operations
+    left.  Trying the next symbol in code-point order ("x" included; the
+    symbols from index 26 on lie above it) and concatenating the completions
+    yields sorted words, with no sort or merge.  The cells with at most _CELL
+    completions are built as sorted lists before this returns, so bad input
+    raises at the call; `_walk` descends through the larger cells.
     """
     _check_arities(arities)
     if n < 0:
         raise ValueError("n must be nonnegative")
-    ops = sorted((op_symbol(index), a) for index, a in enumerate(arities))
-    # levels[m]: the sorted words of size m, as (runs, pos) for m = n - 1;
-    # upto[b], b < n - 1: the sorted words of every size <= b and, index for
-    # index, their sizes
-    levels, upto = [["x"]], [(["x"], [0])]
-    for m in range(1, n - 1):
-        levels.append(list(chain.from_iterable(_sorted_chunks(ops, levels, upto, m))))
-        upto.append(_merged(upto[-1], levels[m], m))
-    if n > 1:
-        levels.append(_runs(upto[-1][0], _sorted_chunks(ops, levels, upto, n - 1)))
-    return chain.from_iterable(_sorted_chunks(ops, levels, upto, n)) if n else iter(levels[0])
+    # (symbol, change in open slots, operations spent), in symbol order
+    moves = sorted([(op_symbol(i), a - 1, 1) for i, a in enumerate(arities)] + [("x", -1, 0)])
+    # cells[k][s]: the sorted completions of s open slots spending k operations; None past _CELL
+    cells = []
+    for k in range(n + 1):
+        cells.append(row := [[] if k else [""]])
+        for s in range(1, 2 + (max(arities) - 1) * (n - k)):
+            tails = [(symbol, cells[k - cost][s + grow]) for symbol, grow, cost in moves if cost <= k]
+            if any(tail is None for _, tail in tails) or sum(len(tail) for _, tail in tails) > _CELL:
+                row.append(None)
+            else:
+                row.append([symbol + w for symbol, tail in tails for w in tail])
+    return chain.from_iterable(_walk(cells, moves, "", 1, n))
 
 
-def _merged(lower, level: list[str], m: int) -> tuple[list[str], list[int]]:
-    """upto[m] from upto[m-1] and level m: both runs of words merged in
-    order, the lower sizes carried to where their words landed."""
-    words, sizes = lower
-    merged = words + level
-    merged.sort()  # two sorted runs: one merge
-    merged_sizes = [m] * len(merged)
-    index = 0
-    for word, size in zip(words, sizes):
-        index = bisect_left(merged, word, index)
-        merged_sizes[index] = size
-    return merged, merged_sizes
+_CELL = 1024  # the most completions a cell holds as one list
 
 
-def _runs(lower: list[str], chunks) -> tuple[list[str], list[int]]:
-    """The top lower level, from its sorted lists, as "\\n"-joined runs:
-    runs[i] holds its words between lower[i - 1] and lower[i], the last
-    run those above lower[-1]; pos[i] is the index of lower[i] among the
-    words of both."""
-    runs, pos, carry, i, seen = [], [], [], 0, 0
-    for chunk in chunks:
-        j = bisect_left(lower, chunk[-1], i)
-        cuts = [bisect_left(chunk, word) for word in lower[i:j]]
-        if cuts:
-            runs.append("\n".join(carry + chunk[: cuts[0]]))
-            runs += map("\n".join, map(chunk.__getitem__, map(slice, cuts, cuts[1:])))
-            pos += [seen + cut + k for k, cut in enumerate(cuts, i)]
-            carry = chunk[cuts[-1] :]
-        else:
-            carry += chunk
-        i, seen = j, seen + len(chunk)
-    runs.append("\n".join(carry))
-    return runs + [""] * (len(lower) - i), pos + list(range(seen + i, seen + len(lower)))
-
-
-def _spell(run: str, prefix: str, suffix: str) -> list[str]:
-    """prefix + word + suffix for each word of a "\\n"-joined run."""
-    return (prefix + run.replace("\n", suffix + "\n" + prefix) + suffix).split("\n")
-
-
-_CHUNK = 1024  # first children per list comprehension over the last two slots
-_CAP = 4096  # a first child with a longer last-child level gets lists of its own
-
-
-def _sorted_chunks(ops, levels, upto, m: int) -> Iterator[list[str]]:
-    """Yield the words of size m >= 1 in increasing order, in lists, from
-    the sorted levels and the (words, sizes) pairs of every size below m.
-
-    Where more than two slots remain, a first child that spends the whole
-    budget leaves only leaves to follow, so its word is complete at once.
-    A run of such first children goes into one list, yielded before the
-    walk descends into the next first child that leaves budget over and
-    once more at the end: the lists concatenate in walk order, so the
-    words stay strictly increasing.
-
-    Over the last two slots a list takes up to _CHUNK first children times
-    their last-child levels, except that a first child whose last-child
-    level is longer than _CAP words gets lists of at most _CAP words of its
-    own.  No level is shorter than the one below it, so these are the
-    first children of size <= budget - t, for t the lowest level longer
-    than _CAP: the few words of upto[budget - t], found in upto[budget] by
-    bisection.  The top lower level, held as runs, counts as long.
-
-    A walk whose budget is the top lower level takes its first children
-    from the smaller words and the runs between them.  Over the last two
-    slots a list ends at a smaller first child, spells the runs it covers
-    with a trailing leaf, and merges them in with one sort.  Level 7 of
-    (2, 3) comes in 8,814 lists of at most 6,016 words.
-    """
-    t = min(next((k for k, level in enumerate(levels) if len(level) > _CAP), m), len(upto))
-    for symbol, a in ops:
-        yield from _forests(levels, upto, t, symbol, a, m - 1)
-
-
-def _forests(levels, upto, t: int, prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
-    """The lists of `_sorted_chunks` for the words that continue prefix with
-    `slots` children spending `budget`; t is the lowest level longer than
-    _CAP.  A module-level generator, not a closure over itself, so no
-    reference cycle keeps the levels alive once the walk is dropped."""
-    if budget < len(upto):
-        (words, sizes), runs = upto[budget], None
-        pos = range(len(words))
-    else:  # the top lower level: the smaller words, and the runs between them
-        (runs, pos), (words, sizes) = levels[budget], upto[budget - 1]
-    leaves = "x" * (slots - 1)
-    if slots > 2 and runs:
-        for run, first, size in zip(runs, words, sizes):
-            if run:
-                yield _spell(run, prefix, leaves)
-            yield from _forests(levels, upto, t, prefix + first, slots - 1, budget - size)
-        if runs[-1]:
-            yield _spell(runs[-1], prefix, leaves)
-        return
-    if slots > 2:
-        batch = []
-        for first, size in zip(words, sizes):
-            if size == budget:
-                batch.append(prefix + first + leaves)
-                continue
-            if batch:
-                yield batch
-                batch = []
-            yield from _forests(levels, upto, t, prefix + first, slots - 1, budget - size)
-        if batch:
-            yield batch
-        return
-    # first children whose last-child level is longer than _CAP, by index
-    cuts = [bisect_left(words, first) for first in upto[budget - t][0]] if budget >= t else []
-    start = 0
-    for stop in cuts + [len(words)]:
-        lo = start
-        while lo < stop:
-            hi = bisect_left(pos, pos[lo] + _CHUNK, lo + 1, stop)
-            chunk = [
-                head + last
-                for first, size in zip(words[lo:hi], sizes[lo:hi])
-                for head in (prefix + first,)
-                for last in levels[budget - size]
-            ]
-            text = runs and "\n".join(filter(None, runs[lo:hi]))
-            if text:
-                chunk += _spell(text, prefix, leaves)
-                chunk.sort()  # two sorted runs: one merge
-            yield chunk
-            lo = hi
-        if runs and runs[stop]:
-            yield _spell(runs[stop], prefix, leaves)
-        if stop == len(words):
-            return
-        head, low = prefix + words[stop], budget - sizes[stop]
-        if low < len(upto):
-            level = levels[low]
-            for lo in range(0, len(level), _CAP):
-                yield [head + last for last in level[lo : lo + _CAP]]
-        else:  # the leaf before the top lower level: about _CAP words a list
-            starts = [0] + [bisect_left(pos, k) + 1 for k in range(_CAP, pos[-1] + 1, _CAP)]
-            for lo, hi in zip(starts, starts[1:] + [len(runs)]):
-                text = "\n".join(filter(None, runs[lo:hi]))
-                if text:
-                    yield _spell(text, head, "")
-        start = stop + 1
+def _walk(cells, moves, prefix: str, slots: int, budget: int) -> Iterator[list[str]]:
+    """The completions of prefix, which has `slots` open slots and `budget`
+    operations left, in increasing order and in lists of at most _CELL
+    words.  A module-level generator, not a closure over itself, so no
+    reference cycle keeps the cells alive once the walk is dropped."""
+    for symbol, grow, cost in moves:
+        if cost > budget:
+            continue
+        head, cell = prefix + symbol, cells[budget - cost][slots + grow]
+        if cell is None:
+            yield from _walk(cells, moves, head, slots + grow, budget - cost)
+        elif cell:
+            yield [head + w for w in cell]
 
 
 # -- counting sequences relative to a homomorphism law -----------------------

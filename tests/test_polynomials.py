@@ -212,6 +212,24 @@ def test_power_series_arithmetic():
     assert a.shift().coeffs == (0, 1, 2)
 
 
+def test_power_series_shift_past_the_degree_keeps_it():
+    assert PowerSeries((1, 2, 3)).shift(5).coeffs == (0, 0, 0)
+    assert PowerSeries((1, 2, 3)).shift(3).coeffs == (0, 0, 0)
+    assert PowerSeries((1, 2, 3)).shift(0).coeffs == (1, 2, 3)
+
+
+def test_power_series_shift_rejects_negative_k():
+    with pytest.raises(ValueError):
+        PowerSeries((1, 2, 3)).shift(-1)
+
+
+def test_power_series_product_truncates_at_the_smaller_degree():
+    # as `+` does
+    a, b = PowerSeries((1, 2, 3)), PowerSeries((1, 1))
+    assert (a * b).coeffs == (b * a).coeffs == (1, 3)
+    assert (a + b).coeffs == (2, 3)
+
+
 def test_series_single_arity_matches_closed_form():
     for a in (2, 3, 4):
         phi = series_mixed([a], 12)
@@ -320,7 +338,10 @@ def count_word_operations(word: str, arities: tuple[int, ...]) -> int:
     return operations
 
 
-DIFFERENTIAL_ARITIES = [(2,), (3,), (5,), (2, 2), (2, 3), (2, 4), (2, 3, 4), (2, 3) * 6, (2,) * 30]
+# (2,) * 26 + (3,): the binary symbols lie below "x", the ternary one above
+DIFFERENTIAL_ARITIES = [
+    (2,), (3,), (5,), (2, 2), (2, 3), (2, 4), (2, 3, 4), (2, 3) * 6, (2,) * 30, (2,) * 26 + (3,),
+]
 
 
 @pytest.mark.parametrize("arities", DIFFERENTIAL_ARITIES)
@@ -367,20 +388,25 @@ def test_enumeration_streams_level_n():
     assert peak < 12 * 10**6, peak
 
 
-def test_level_n_comes_in_few_lists(monkeypatch):
+def _level_7_list_sizes(monkeypatch) -> list[int]:
+    """The sizes of the lists the walk yields for level 7 of (2, 3)."""
     sizes = []
-    sorted_chunks = polynomials._sorted_chunks
+    walk = polynomials._walk
 
-    def counted(ops, levels, upto, m):
-        for chunk in sorted_chunks(ops, levels, upto, m):
-            if m == 7:
+    def counted(cells, moves, prefix, slots, budget):
+        for chunk in walk(cells, moves, prefix, slots, budget):
+            if not prefix:  # the outermost walk: every list once
                 sizes.append(len(chunk))
             yield chunk
 
-    monkeypatch.setattr(polynomials, "_sorted_chunks", counted)
+    monkeypatch.setattr(polynomials, "_walk", counted)
     assert sum(1 for _ in enumerate_trees_mixed((2, 3), 7)) == sum(sizes) == 312066
-    # one list per ternary first child that spends the whole budget would
-    # make 39,698 lists, 34,970 of them holding one word
+    return sizes
+
+
+def test_level_n_comes_in_few_lists(monkeypatch):
+    sizes = _level_7_list_sizes(monkeypatch)
+    # one list per word-completing suffix would make 312,066 lists
     assert len(sizes) < 10_000, len(sizes)
 
 
@@ -434,18 +460,8 @@ def test_dropped_level_stream_leaves_no_cycle():
 
 
 def test_level_n_lists_are_capped(monkeypatch):
-    sizes = []
-    sorted_chunks = polynomials._sorted_chunks
-
-    def counted(ops, levels, upto, m):
-        for chunk in sorted_chunks(ops, levels, upto, m):
-            if m == 7:
-                sizes.append(len(chunk))
-            yield chunk
-
-    monkeypatch.setattr(polynomials, "_sorted_chunks", counted)
-    assert sum(1 for _ in enumerate_trees_mixed((2, 3), 7)) == sum(sizes) == 312066
-    # the leaf first child over level 6 alone made one list of 40,626 words
+    sizes = _level_7_list_sizes(monkeypatch)
+    # a whole level held as one list would be 312,066 words
     assert max(sizes) <= 8192, max(sizes)
 
 
@@ -482,6 +498,8 @@ def test_enumeration_counts_agree(arities, n):
     words = list(enumerate_trees_mixed(arities, n))
     assert len(words) == series_mixed(arities, n)[n]
     assert len(set(words)) == len(words)
+    assert all(map(operator.lt, words, words[1:]))
+    assert all(count_word_operations(w, arities) == n for w in words)
 
 
 def test_duplicate_arities_label_operations():
