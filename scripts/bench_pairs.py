@@ -16,7 +16,7 @@ holds, per workload and end-to-end metric, every run's value, the median
 and quartiles of each side, and the number of pairs the change won, with
 the seeds, the command, the Python version and the processor count.
 
-    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH_36.json \
+    python3 scripts/bench_pairs.py PARENT_DIR CHANGE_DIR --out BENCH.json \
         --inprocess "verify.run_verify(9, 7)"
 
 --inprocess CALL adds a same-process A/B beside the benchmark runs.  For
@@ -104,7 +104,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     workloads = args.workloads.split(",")
 
-    sides = {"parent": args.parent, "change": args.change}
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     results = {w: {side: [] for side in sides} for w in workloads}
     inprocess = {side: [] for side in sides}
     for seed in SEEDS:

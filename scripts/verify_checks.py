@@ -54,7 +54,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("checkouts", nargs="*", type=Path, default=[Path(__file__).resolve().parent.parent])
     args = parser.parse_args(argv)
-    for checkout in args.checkouts:
+    for checkout in map(Path.resolve, args.checkouts):  # PYTHONPATH is read from the checkout
         timed, traced = probe(checkout, "time"), probe(checkout, "trace")
         print(f"{checkout}: run_verify(9, 7), Python {sys.version.split()[0]}, {os.cpu_count()} CPUs")
         print(f"  {'check':<36} {'status':<7} {'ms':>8} {'peak MB':>8}")
