@@ -154,15 +154,18 @@ def cmd_classify(args) -> int:
 
 
 def cmd_skein(args) -> int:
-    from .polynomials import collision_groups, skein, skein_levels
+    from .polynomials import collision_groups, skein, skein_table
 
     if args.target.isascii() and args.target.isdigit():
         order = int(args.target)
         if order > MAX_ORDER_CAP:
             raise UsageError(f"order {order} above the cap {MAX_ORDER_CAP}")
         uni = _universe(order)
-        polys = skein_levels(uni, order)[order]
-        _emit(args, render.skein_table(uni.catalog(order), polys, collision_groups(polys), args.format))
+        table = skein_table(uni, order)
+        level = table.levels[order]
+        groups = collision_groups(level)
+        polys = {x: table.unpack(x) for x in groups}
+        _emit(args, render.skein_table(uni.catalog(order), list(map(polys.__getitem__, level)), groups, args.format))
     elif args.target.count("V") > MAX_WORD_ORDER:
         raise UsageError(f"usage: skein WORD (order of WORD <= {MAX_WORD_ORDER})")
     else:

@@ -5,10 +5,17 @@ The skein polynomial tracks, per variable, how often it sits in first
 or second argument position along its path to the root: the variable
 contributes the monomial a^s b^t.  Building V(J, J') multiplies J's
 polynomial by a and J''s by b and adds (`SkeinPoly.join`), starting from 1
-at the leaf.  `skein_levels` folds that build-up over the universe's rank
-blocks (`Universe.fold`) into one table, whose levels `collision_groups`
-and `np_recursion_check` read; `skein` and `skein_q` take one `Term`, for
-words beyond the universe and as oracles.
+at the leaf.
+
+`skein_table` folds that build-up over the universe's rank blocks
+(`Universe.fold`) into one table of packed ints.  Through order N a
+coefficient takes K bits, 2^K > N + 1, and that of a^s b^t sits at bit
+K*(s*(N + 1) + t); an order-n polynomial has n + 1 leaves and total
+exponent at most n, so no digit carries, the join is a shift and an add,
+and two ints of one table are equal exactly when their polynomials are.
+`collision_groups` and `np_recursion_check` read its levels as they are;
+`skein_levels` is the `SkeinPoly` view of it.  `skein` and `skein_q` take
+one `Term`, for words beyond the universe and as oracles.
 
 The records are `collections.namedtuple` subclasses, which load no module:
 `typing.NamedTuple` would load `typing` into every `catalan` and `skein`
@@ -117,43 +124,87 @@ def skein_q(t: Term) -> SkeinPoly:
     return SkeinPoly.join(skein_q(t.left), skein_q(t.right)) + _ONE
 
 
-def _skein_block(lo: int, ro: int, left, right) -> list[SkeinPoly]:
-    """`SkeinPoly.join` over one rank block, each flank multiplied once."""
-    rights = [SkeinPoly({(s, t + 1): c for (s, t), c in poly.coeffs.items()}) for poly in right]
-    lefts = (SkeinPoly({(s + 1, t): c for (s, t), c in poly.coeffs.items()}) for poly in left)
-    return [a + b for a in lefts for b in rights]
+class SkeinTable(namedtuple("SkeinTable", "levels bits stride")):
+    """Per order 0..N, the packed skein polynomial of every label, in label
+    order: K = `bits` bits per coefficient and a stride D = `stride` = N + 1,
+    the coefficient of a^s b^t at bit K*(s*D + t)."""
+
+    __slots__ = ()
+
+    def pack(self, poly: SkeinPoly) -> int:
+        """The int of `poly`, whose exponents and coefficients must fit this table."""
+        k, d = self.bits, self.stride
+        if any(not (0 <= s < d and 0 <= t < d and 0 < c < 1 << k) for (s, t), c in poly.coeffs.items()):
+            raise ValueError(f"{poly} does not fit a skein table through order {d - 1}")
+        return sum(c << k * (s * d + t) for (s, t), c in poly.coeffs.items())
+
+    def unpack(self, x: int) -> SkeinPoly:
+        """The polynomial of one int of this table, read nonzero digit by nonzero digit."""
+        k, d = self.bits, self.stride
+        coeffs, mask = {}, (1 << k) - 1
+        while x:
+            i = ((x & -x).bit_length() - 1) // k
+            c = x >> k * i & mask
+            coeffs[divmod(i, d)] = c
+            x -= c << k * i
+        return SkeinPoly(coeffs)
+
+    def join(self, left: int, right: int) -> int:
+        """a*left + b*right, as `SkeinPoly.join` on the unpacked polynomials."""
+        return (left << self.bits * self.stride) + (right << self.bits)
+
+
+def skein_table(universe: Universe, n: int) -> SkeinTable:
+    """The packed skein polynomials of every label of orders 0..n, one
+    `Universe.fold` over the rank blocks with each flank shifted once."""
+    k, d = (n + 1).bit_length(), n + 1
+
+    def block(lo: int, ro: int, left, right) -> list[int]:
+        lefts, rights = [x << k * d for x in left], [y << k for y in right]
+        return [x + y for x in lefts for y in rights]
+
+    return SkeinTable(tuple(universe.fold(n, (1,), block)), k, d)
 
 
 def skein_levels(universe: Universe, n: int) -> tuple[tuple[SkeinPoly, ...], ...]:
-    """Per order 0..n, the skein polynomial of every label, in label order."""
-    return tuple(universe.fold(n, (_ONE,), _skein_block))
+    """Per order 0..n, the skein polynomial of every label, in label order:
+    the view of `skein_table`, each distinct int of a level unpacked once."""
+    table = skein_table(universe, n)
+    levels = []
+    for level in table.levels:
+        polys = {x: table.unpack(x) for x in set(level)}
+        levels.append(tuple(map(polys.__getitem__, level)))
+    return tuple(levels)
 
 
-def collision_groups(polys) -> dict[SkeinPoly, tuple[int, ...]]:
-    """Partition one `skein_levels` level's labels by polynomial, in order of first sight.
+def collision_groups(polys) -> dict:
+    """Partition one level's labels by polynomial, in order of first sight.
 
-    The group size of P is the collision count N_P; most groups are
-    singletons, the first collision appearing at order 4.
+    The level is a `skein_levels` level (`SkeinPoly` keys) or a
+    `skein_table` level (int keys); any hashable values group.  The group
+    size of P is the collision count N_P; most groups are singletons, the
+    first collision appearing at order 4.
     """
-    groups: dict[SkeinPoly, list[int]] = {}
+    groups: dict = {}
     for label, poly in enumerate(polys, start=1):
         groups.setdefault(poly, []).append(label)
     return {p: tuple(labels) for p, labels in groups.items()}
 
 
-def np_recursion_check(levels) -> bool:
+def np_recursion_check(levels, join=SkeinPoly.join) -> bool:
     """Verify N_P = sum over splits a*P_kappa + b*P_lambda = P of
-    N_kappa * N_lambda at every order n >= 1 of a `skein_levels` table,
-    convolving the counts of orders p and n-1-p."""
+    N_kappa * N_lambda at every order n >= 1 of a table of levels,
+    convolving the counts of orders p and n-1-p.  `join` builds a*L + b*R:
+    `SkeinPoly.join` for `skein_levels`, a `SkeinTable.join` for its ints."""
     if len(levels) < 2:
         raise ValueError("need a table through order >= 1")
     counts = [Counter(level) for level in levels]
     for n in range(1, len(counts)):
-        predicted: Counter[SkeinPoly] = Counter()
+        predicted: Counter = Counter()
         for p in range(n):
             for lp, lcount in counts[p].items():
                 for rp, rcount in counts[n - 1 - p].items():
-                    predicted[SkeinPoly.join(lp, rp)] += lcount * rcount
+                    predicted[join(lp, rp)] += lcount * rcount
         if predicted != counts[n]:
             return False
     return True
@@ -218,6 +269,9 @@ class PowerSeries:
         return PowerSeries(((0,) * min(k, len(self.coeffs)) + self.coeffs)[: len(self.coeffs)])
 
     def power(self, e: int) -> PowerSeries:
+        """The e-th power, e >= 0, truncated at this degree."""
+        if e < 0:
+            raise ValueError("e must be nonnegative")
         result = self if e else PowerSeries.constant(1, self.degree)
         for _ in range(e - 1):
             result = result * self

@@ -424,22 +424,22 @@ def check_class_algebra(universe, max_order, closure_order) -> Check:
 
 
 def check_skein(universe, max_order, closure_order) -> Check:
-    from .polynomials import SkeinPoly, collision_groups, np_recursion_check, skein, skein_levels
+    from .polynomials import SkeinPoly, collision_groups, np_recursion_check, skein, skein_table
 
     ok = all(
         skein(terms.parse_word(word)) == SkeinPoly(coeffs)
         for word, coeffs in SKEIN_TABLE.items()
     )
     top = min(8, max_order)
-    levels = skein_levels(universe, top)
+    table = skein_table(universe, top)
     shared = SkeinPoly({(2, 0): 1, (1, 1): 1, (2, 1): 1, (1, 2): 1, (0, 2): 1})
-    ok &= collision_groups(levels[4]).get(shared) == (4, 7)
-    for n, level in enumerate(levels):
-        for poly in level:
+    ok &= collision_groups(table.levels[4]).get(table.pack(shared)) == (4, 7)
+    for n, level in enumerate(table.levels):
+        for poly in map(table.unpack, set(level)):
             ok &= poly.evaluate(1, 1) == n + 1
             ok &= poly.substitute_b_complement() == (1,)
     rec_top = min(7, max_order)
-    ok &= np_recursion_check(levels[: rec_top + 1])
+    ok &= np_recursion_check(table.levels[: rec_top + 1], table.join)
     return Check(
         "skein-polynomials",
         f"table through order 3; the (4,7) collision; evaluations order<={top}; collision recursion order<={rec_top}",
@@ -470,7 +470,7 @@ def _count_increasing(words) -> int | None:
     """The number of `words`, or None unless each is above the one before;
     a strictly increasing sequence holds no word twice."""
     count, last = 0, ""
-    while chunk := list(islice(words, 4096)):
+    while chunk := list(islice(words, 1024)):
         if not (last < chunk[0] and all(map(lt, chunk, islice(chunk, 1, None)))):
             return None
         count += len(chunk)

@@ -40,6 +40,7 @@ from iterforge.polynomials import (
     relation2_check,
     relation3_estimate,
     skein_levels,
+    skein_table,
 )
 from iterforge.verify import FAIL, PASS, check_generalized_catalan, check_skein
 
@@ -116,27 +117,78 @@ def test_np_recursion(universe):
         np_recursion_check(levels[:1])
 
 
+def tamper(levels, n):
+    """`levels` with level n's first value replaced by its last."""
+    level = levels[n]
+    assert level[0] != level[-1]
+    return levels[:n] + ((level[-1],) + level[1:],) + levels[n + 1:]
+
+
 def test_np_recursion_fails_at_any_order(universe):
     levels = skein_levels(universe, 8)
-    assert np_recursion_check(levels)
+    table = skein_table(universe, 8)
+    assert np_recursion_check(levels) and np_recursion_check(table.levels, table.join)
     for n in (4, 8):
-        level = levels[n]
-        assert level[0] != level[-1]
-        tampered = levels[:n] + ((level[-1],) + level[1:],) + levels[n + 1:]
-        assert not np_recursion_check(tampered), n
+        assert not np_recursion_check(tamper(levels, n)), n
+        assert not np_recursion_check(tamper(table.levels, n), table.join), n
 
 
 def test_check_skein_builds_one_table(universe, monkeypatch):
     calls = []
-    build = polynomials.skein_levels
+    build = polynomials.skein_table
 
     def counting_build(*args):
         calls.append(args)
         return build(*args)
 
-    monkeypatch.setattr(polynomials, "skein_levels", counting_build)
+    monkeypatch.setattr(polynomials, "skein_table", counting_build)
     assert check_skein(universe, 9, 7).status == "pass"
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("damage", ["evaluation", "recursion"])
+def test_check_skein_fails_on_a_tampered_table(universe, monkeypatch, damage):
+    build = polynomials.skein_table
+
+    def tampered_build(*args):
+        table = build(*args)
+        levels = table.levels
+        if damage == "evaluation":  # one int of level 8 one higher: P(1,1) = 10
+            levels = levels[:8] + ((levels[8][0] + 1,) + levels[8][1:],)
+        else:  # level 7's multiset changed, every P(1,1) still 8
+            levels = tamper(levels, 7)
+        return table._replace(levels=levels)
+
+    monkeypatch.setattr(polynomials, "skein_table", tampered_build)
+    assert check_skein(universe, 9, 7).status == FAIL
+
+
+def test_packed_table_matches_term_oracle(universe):
+    table = skein_table(universe, 9)
+    assert table.levels[0] == (1,)
+    for n, level in enumerate(table.levels):
+        cat = universe.catalog(n)
+        assert len(level) == len(cat)
+        for i, x in enumerate(level, 1):
+            assert x == table.pack(skein(cat.term(i))), (n, i)
+            assert table.pack(table.unpack(x)) == x
+
+
+def test_pack_rejects_a_polynomial_the_table_cannot_hold(universe):
+    table = skein_table(universe, 3)
+    assert (table.bits, table.stride) == (3, 4)
+    for poly in (SkeinPoly({(4, 0): 1}), SkeinPoly({(0, 4): 1}), SkeinPoly({(1, 1): 8}), SkeinPoly({(1, 1): -1})):
+        with pytest.raises(ValueError):
+            table.pack(poly)
+
+
+def test_packed_digits_never_overflow_at_order_12():
+    table = skein_table(Universe(12), 12)
+    assert table.bits == 4
+    for x in set(table.levels[12]):
+        coeffs = table.unpack(x).coeffs
+        assert sum(coeffs.values()) == 13
+        assert max(s + t for s, t in coeffs) <= 12
 
 
 def test_label_table_matches_term_oracle(universe):
@@ -216,6 +268,12 @@ def test_power_series_shift_past_the_degree_keeps_it():
     assert PowerSeries((1, 2, 3)).shift(5).coeffs == (0, 0, 0)
     assert PowerSeries((1, 2, 3)).shift(3).coeffs == (0, 0, 0)
     assert PowerSeries((1, 2, 3)).shift(0).coeffs == (1, 2, 3)
+
+
+def test_power_series_power_rejects_negative_e():
+    with pytest.raises(ValueError):
+        PowerSeries((1, 2)).power(-1)
+    assert PowerSeries((1, 2)).power(0).coeffs == (1, 0)
 
 
 def test_power_series_shift_rejects_negative_k():
