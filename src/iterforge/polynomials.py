@@ -200,7 +200,7 @@ def np_recursion_check(levels, join=SkeinPoly.join) -> bool:
         raise ValueError("need a table through order >= 1")
     counts = [Counter(level) for level in levels]
     for n in range(1, len(counts)):
-        predicted: Counter = Counter()
+        predicted = Counter()
         for p in range(n):
             for lp, lcount in counts[p].items():
                 for rp, rcount in counts[n - 1 - p].items():
