@@ -20,13 +20,16 @@ the seeds, the command, the Python version and the processor count.
         --inprocess "verify.run_verify(9, 7)"
 
 --inprocess CALL adds a same-process A/B beside the benchmark runs.  For
-every seed, after its workloads, each side runs CALL PASSES times in one
-fresh interpreter in its checkout's root, with its `src` on PYTHONPATH,
-in the same alternating order.  CALL is Python whose first name is a
-module of the package, imported under that name first; each pass is
-timed with `time.perf_counter`.  The `inprocess` section holds, per side,
-each pair's median pass and the process's `ru_maxrss`, their medians and
-quartiles, and the number of pairs the change won.
+every seed, after its workloads, each side runs CALL PASSES times in each
+of PROCESSES fresh interpreters in its checkout's root, with its `src` on
+PYTHONPATH; the two sides' processes alternate, in the seed's order, so a
+burst of load on the machine falls on both.  CALL is Python whose first
+name is a module of the package, imported under that name first; each
+pass is timed with `time.perf_counter`.  A process scores its median
+pass, and a pair each side's median of its processes' scores.  The
+`inprocess` section holds, per side, every process's score and
+`ru_maxrss`, the pairs' medians and quartiles of both, and the number of
+pairs the change won.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ METRICS = ("latency_p50_ms", "peak_rss_mb", "setup_s")  # all lower-is-better
 WORKLOADS = "verify,cli"
 SEEDS = tuple(range(11, 21))
 PASSES = 6  # passes of an --inprocess call per process
+PROCESSES = 3  # --inprocess processes per side and pair
 
 
 def run_once(checkout: Path, workload: str, seed: int) -> dict:
@@ -115,10 +119,16 @@ def main(argv=None) -> int:
                 results[workload][side].append(result)
                 p50 = result["metrics"]["latency_p50_ms"]["value"]
                 print(f"seed {seed} {workload} {side}: p50 {p50:.1f} ms, failed {result['failed']}", flush=True)
-        for side in order if args.inprocess else ():
-            result = run_inprocess(sides[side], args.inprocess)
-            inprocess[side].append(result)
-            print(f"seed {seed} inprocess {side}: median {median(result['ms']):.1f} ms", flush=True)
+        if args.inprocess:
+            processes = {side: [] for side in sides}
+            for _ in range(PROCESSES):
+                for side in order:
+                    result = run_inprocess(sides[side], args.inprocess)
+                    processes[side].append({"median_ms": median(result["ms"]), "peak_rss_mb": result["peak_rss_mb"]})
+            for side in order:
+                inprocess[side].append(processes[side])
+                scores = ", ".join(f"{p['median_ms']:.1f}" for p in processes[side])
+                print(f"seed {seed} inprocess {side}: process medians {scores} ms", flush=True)
 
     record = {
         "command": "python3 perfbench/run.py --workload WORKLOAD --seed SEED",
@@ -140,9 +150,13 @@ def main(argv=None) -> int:
         record["inprocess"] = {
             "call": args.inprocess,
             "passes": PASSES,
-            "median_ms": compared({side: [median(r["ms"]) for r in runs] for side, runs in inprocess.items()}),
-            "peak_rss_mb": compared({side: [r["peak_rss_mb"] for r in runs] for side, runs in inprocess.items()}),
+            "processes": PROCESSES,
+            "order": "per pair, the sides' processes alternate, in the seed's order",
+            "per_process": inprocess,
         }
+        for metric in ("median_ms", "peak_rss_mb"):
+            pairs = {side: [median(p[metric] for p in pair) for pair in runs] for side, runs in inprocess.items()}
+            record["inprocess"][metric] = compared(pairs)
     args.out.write_text(json.dumps(record, indent=2) + "\n")
     return 0
 

@@ -162,10 +162,9 @@ def cmd_skein(args) -> int:
             raise UsageError(f"order {order} above the cap {MAX_ORDER_CAP}")
         uni = _universe(order)
         table = skein_table(uni, order)
-        level = table.levels[order]
-        groups = collision_groups(level)
+        groups = collision_groups(table.levels[order])
         polys = {x: table.unpack(x) for x in groups}
-        _emit(args, render.skein_table(uni.catalog(order), list(map(polys.__getitem__, level)), groups, args.format))
+        _emit(args, render.skein_table(uni.catalog(order), polys, groups, args.format))
     elif args.target.count("V") > MAX_WORD_ORDER:
         raise UsageError(f"usage: skein WORD (order of WORD <= {MAX_WORD_ORDER})")
     else:

@@ -37,7 +37,8 @@ class IncidenceMatrix:
     line signatures: delta(i, j) = 1 iff the signatures of i and j share a
     line.  Mode A reads the n lines of A_n, mode AB adds the two of B_n.
 
-    Immutable; a plain class, not a tuple, so that it can keep `rows`."""
+    Immutable; a plain class, not a tuple, so that it can keep `rows` and
+    the row sums, one per signature class."""
 
     def __init__(self, order: int, mode: str, signatures: Sequence[int]):
         # signatures[i-1]: the lines that hold label i; read only
@@ -60,8 +61,14 @@ class IncidenceMatrix:
     def entry(self, i: int, j: int) -> int:
         return 1 if self.signatures[i - 1] & self.signatures[j - 1] else 0
 
+    @cached_property
+    def _row_sums(self) -> dict[int, int]:
+        """Per distinct signature, the row sum of each label that has it."""
+        counts = Counter(self.signatures)
+        return {a: sum(count for b, count in counts.items() if a & b) for a in counts}
+
     def row_sum(self, i: int) -> int:
-        return self.rows[i - 1].bit_count()
+        return self._row_sums[self.signatures[i - 1]]
 
     def total(self) -> int:
         """Ordered reducible pairs, diagonal included."""

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterator
+from functools import lru_cache
 from itertools import chain
 from math import comb
 
@@ -74,15 +75,7 @@ class SkeinPoly:
 
     def substitute_b_complement(self) -> tuple[int, ...]:
         """Coefficients in a of the polynomial after setting b := 1 - a."""
-        degree = max((s + t for s, t in self.coeffs), default=0)
-        out = [0] * (degree + 1)
-        for (s, t), c in self.coeffs.items():
-            # c * a^s * (1-a)^t
-            for i in range(t + 1):
-                out[s + i] += c * comb(t, i) * (-1) ** i
-        while len(out) > 1 and out[-1] == 0:
-            out.pop()
-        return tuple(out)
+        return b_complement((s, t, c) for (s, t), c in self.coeffs.items())
 
     def __str__(self) -> str:
         if not self.coeffs:
@@ -101,6 +94,33 @@ class SkeinPoly:
         return " ".join(parts)
 
     __repr__ = __str__
+
+
+def b_complement(digits) -> tuple[int, ...]:
+    """Coefficients in a, trailing zeros dropped, of the sum of c * a^s * b^t
+    over the (s, t, c) `digits` after setting b := 1 - a: the term
+    c * a^s * (1 - a)^t adds c * (-1)^i * C(t, i) to a^(s+i)."""
+    out, top = [0], 0  # out holds a^0..a^top
+    for s, t, c in digits:
+        if s + t > top:
+            out += [0] * (s + t - top)
+            top = s + t
+        for w in _signed_binomials(t):
+            out[s] += c * w
+            s += 1
+    while top and not out[top]:
+        top -= 1
+    return tuple(out[: top + 1])
+
+
+@lru_cache(maxsize=None)
+def _signed_binomials(t: int) -> tuple[int, ...]:
+    """(-1)^i * C(t, i) for i = 0..t, each from the one before by the ratio
+    -(t - i)/(i + 1), exactly."""
+    row = [1]
+    for i in range(t):
+        row.append(-row[-1] * (t - i) // (i + 1))
+    return tuple(row)
 
 
 _ONE = SkeinPoly({(0, 0): 1})
@@ -138,16 +158,25 @@ class SkeinTable(namedtuple("SkeinTable", "levels bits stride")):
             raise ValueError(f"{poly} does not fit a skein table through order {d - 1}")
         return sum(c << k * (s * d + t) for (s, t), c in poly.coeffs.items())
 
-    def unpack(self, x: int) -> SkeinPoly:
-        """The polynomial of one int of this table, read nonzero digit by nonzero digit."""
-        k, d = self.bits, self.stride
-        coeffs, mask = {}, (1 << k) - 1
+    def digits(self, x: int) -> Iterator[tuple[int, int, int]]:
+        """The nonzero digits of one int of this table, lowest first: (s, t, c)
+        for the coefficient c of a^s b^t, read one power of a at a time."""
+        k, width = self.bits, self.bits * self.stride
+        mask, row_mask = (1 << k) - 1, (1 << width) - 1
+        s = 0
         while x:
-            i = ((x & -x).bit_length() - 1) // k
-            c = x >> k * i & mask
-            coeffs[divmod(i, d)] = c
-            x -= c << k * i
-        return SkeinPoly(coeffs)
+            row, t = x & row_mask, 0
+            while row:
+                if c := row & mask:
+                    yield s, t, c
+                row >>= k
+                t += 1
+            x >>= width
+            s += 1
+
+    def unpack(self, x: int) -> SkeinPoly:
+        """The polynomial of one int of this table, from its `digits`."""
+        return SkeinPoly({(s, t): c for s, t, c in self.digits(x)})
 
     def join(self, left: int, right: int) -> int:
         """a*left + b*right, as `SkeinPoly.join` on the unpacked polynomials."""

@@ -183,17 +183,26 @@ def verdict(n: int, pair: tuple[int, int], result, fmt: str) -> str:
 
 
 def skein_table(cat, polys, groups, fmt: str) -> str:
-    """The skein polynomial of every label of one order, then the collisions."""
+    """The skein polynomial of every label of one order, then the collisions.
+
+    `groups` maps a key to the labels that share one polynomial (in label
+    order, as `collision_groups` gives them) and `polys` maps the key to
+    that polynomial, which is formatted once for all its labels."""
+    texts = [""] * len(cat)
+    for key, labels in groups.items():
+        text = str(polys[key])
+        for i in labels:
+            texts[i - 1] = text
     if fmt == "json":
         record = {
             "order": cat.order,
             "polynomials": [
-                {"label": i, "word": cat.word(i), "polynomial": str(poly)} for i, poly in enumerate(polys, 1)
+                {"label": i, "word": cat.word(i), "polynomial": text} for i, text in enumerate(texts, 1)
             ],
             "collisions": [sorted(labels) for labels in groups.values() if len(labels) > 1],
         }
         return _json(record)
-    lines = [f"{i} {cat.word(i)} {poly}" for i, poly in enumerate(polys, 1)]
+    lines = [f"{i} {cat.word(i)} {text}" for i, text in enumerate(texts, 1)]
     for labels in groups.values():
         if len(labels) > 1:
             lines.append(f"collision: labels {' '.join(str(v) for v in labels)}")

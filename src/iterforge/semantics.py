@@ -29,9 +29,14 @@ closure stops at its first merge below the defining order, and walks its
 log lowest order first, so that a descending cancellation is not queued
 behind the upward tableau cascade.  A witness chain costs a second
 closure, so `classify_identity` finds it for a reducible identity, and
-`column_pair_survey` returns kinds only.  Reflecting every term left to
-right maps a closure onto the closure of the mirror identity, so the
-surveys close one identity per mirror orbit.
+`column_pair_survey` returns kinds only.  That closure has no
+cancellation, so its order-m classes are final once order m - 1 is
+walked: `find_witness_chain` raises its bound one order at a time and
+scans each order for a descending cascade as soon as it is final, and
+only when no order through the bound holds one does it go on to rounds
+of verbatim-flank cancellation.  Reflecting every term left to right
+maps a closure onto the closure of the mirror identity, so the surveys
+close one identity per mirror orbit.
 
 The value records (specs, configs, verdicts, reports) are
 `collections.namedtuple` subclasses, as `Merge` is: a dataclass would load
@@ -95,6 +100,9 @@ class Merge(namedtuple("Merge", "order a b rule source")):
     """
 
     __slots__ = ()
+
+
+_merge = Merge._make  # builds a log entry from one tuple, faster than Merge(...)
 
 
 class DisjointSet:
@@ -178,7 +186,7 @@ class ClosureState:
 
     def _union(self, order: int, a: int, b: int, rule: str, source: tuple | None) -> bool:
         if self.partitions[order].union(a, b):
-            self.log.append(Merge(order, a, b, rule, source))
+            self.log.append(_merge((order, a, b, rule, source)))
             return True
         return False
 
@@ -268,7 +276,7 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
                 x, y = row[a - 1], row[b - 1]
                 if owner[x] != owner[y]:  # most cells already share a class: no call, no entry
                     part.union(x, y)
-                    log.append(Merge(m + 1, x, y, rule, (m, a, b, line)))
+                    log.append(_merge((m + 1, x, y, rule, (m, a, b, line))))
         if tables is not None:
             end = len(log)
             tables.merged(state, m, a, b)
@@ -471,25 +479,52 @@ def find_witness_chain(
 ) -> tuple[tuple[int, int, int], ...] | None:
     """Explicit chain certifying that an identity derives a lower-order one.
 
-    Alternates pure tableau closure with verbatim-flank cancellations; at
-    each stage, scan orders upward and same-class pairs in label order for
-    a cascade that descends below the defining order, and return that
-    chain truncated at its first sub-order entry.
+    Scans, order by order from the defining one, the same-class pairs of
+    each class (classes by least member, pairs in label order) for a
+    cascade that descends below the defining order, and returns the first
+    such chain truncated at its first sub-order entry.  Without
+    cancellation, merges at order m come only from order m - 1, so the
+    tableau closure is extended one order at a time and each order is
+    scanned as soon as its partition is final.  Only when no order through
+    the bound holds a cascade does the search alternate verbatim-flank
+    cancellation rounds with full closures, rescanning every order.
     """
     n = spec.order
-    state = close(spec, ClosureConfig(bound, MODE_AB, unicity=False), universe)
-    for _ in range(bound + 1):
-        hit = _scan_cascades(universe, state, n, bound)
+    config = ClosureConfig(bound, MODE_AB, unicity=False)
+    _validate(spec, config, universe)
+    state = close(spec, config._replace(max_order=n), universe)
+    start = 0  # the entries at the state's bound, which it did not expand
+    for m in range(n, bound + 1):
+        if m > n:
+            start = _raise_bound(state, universe, start)
+        hit = _scan_cascades(universe, state, n, (m,))
         if hit is not None:
             return hit
+    for _ in range(bound):
         if not _formal_cancellation_round(universe, state):
             return None
         _saturate(state, universe)
+        hit = _scan_cascades(universe, state, n, range(n, bound + 1))
+        if hit is not None:
+            return hit
     return None
 
 
-def _scan_cascades(universe, state, n, bound):
-    for m in range(n, bound + 1):
+def _raise_bound(state: ClosureState, universe: Universe, start: int) -> int:
+    """Raise a cancellation-free closure's bound by one order: add that
+    order's partition and walk the log from `start`, the entries at the old
+    bound.  The partitions equal those of a closure run to the new bound.
+    Returns where the entries at the new bound begin."""
+    bound = state.config.max_order + 1
+    state.config = state.config._replace(max_order=bound)
+    state.partitions.append(DisjointSet(len(universe.catalog(bound))))
+    end, state.cursor = len(state.log), start
+    _saturate(state, universe)
+    return end
+
+
+def _scan_cascades(universe, state, n, orders):
+    for m in orders:
         for members in state.classes(m):
             if len(members) < 2:
                 continue

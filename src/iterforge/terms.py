@@ -10,11 +10,13 @@ term V(V(x,x), V(x,x)) prints as "VVxxVxx".  Leaf positions are numbered
 Every command imports this module, so its one record, `RunLengthCode`, is
 a `collections.namedtuple` subclass, which loads no module: a dataclass
 would load `inspect` and `typing.NamedTuple` would load `typing` at every
-start.
+start.  The run-length scan compiles two `re` patterns; `argparse` loads
+`re` in every command anyway.
 """
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 from functools import lru_cache
 from math import comb
@@ -148,26 +150,16 @@ class RunLengthCode(namedtuple("RunLengthCode", "pairs")):
         return "".join(str(v) for v in self.flat)
 
 
+# a word of shape (V+x+)+ and its (V-run, x-run) pairs
+_RUN_WORD = re.compile(r"(?:V+x+)+")
+_RUN = re.compile(r"(V+)(x+)")
+
+
 def run_length_code(word: str) -> RunLengthCode | None:
     """Encode a word as V-run/x-run pairs, or None if not of shape (V+x+)+."""
-    if not word or word[0] != "V" or word[-1] != "x":
+    if not _RUN_WORD.fullmatch(word):
         return None
-    pairs = []
-    i = 0
-    limit = len(word)
-    while i < limit:
-        a = 0
-        while i < limit and word[i] == "V":
-            a += 1
-            i += 1
-        b = 0
-        while i < limit and word[i] == "x":
-            b += 1
-            i += 1
-        if a == 0 or b == 0:
-            return None
-        pairs.append((a, b))
-    return RunLengthCode(tuple(pairs))
+    return RunLengthCode(tuple((len(a), len(b)) for a, b in _RUN.findall(word)))
 
 
 def validate_word_diophantine(word: str) -> bool:
@@ -176,26 +168,19 @@ def validate_word_diophantine(word: str) -> bool:
     The word V^a1 x^b1 ... V^ak x^bk is a term of order n iff the a's sum
     to n, the b's sum to n+1, and every proper leading block satisfies
     a1+...+aj >= b1+...+bj.  The bare variable "x" is the order-0 term.
-    Agrees with parse_word on every string over {V, x}.
+    Agrees with parse_word on every string over {V, x}.  The runs are read
+    straight off the word, with no `RunLengthCode` built.
     """
     if word == "x":
         return True
-    if word.strip("Vx"):
+    if not _RUN_WORD.fullmatch(word):
         return False
-    code = run_length_code(word)
-    if code is None:
-        return False
-    a_sum = sum(a for a, _ in code.pairs)
-    b_sum = sum(b for _, b in code.pairs)
-    if b_sum != a_sum + 1:
-        return False
-    lead_a = lead_b = 0
-    for a, b in code.pairs[:-1]:
-        lead_a += a
-        lead_b += b
-        if lead_a < lead_b:
+    lead = 0  # a1+...+aj - (b1+...+bj) over the blocks before this one
+    for a, b in _RUN.findall(word):
+        if lead < 0:
             return False
-    return True
+        lead += len(a) - len(b)
+    return lead == -1
 
 
 @lru_cache(maxsize=None)

@@ -1,6 +1,7 @@
 """Skein polynomials, collision counts, series, and the convolution relations."""
 
 import gc
+import math
 import operator
 import tracemalloc
 from fractions import Fraction
@@ -33,6 +34,7 @@ from iterforge import (
 )
 from iterforge import polynomials
 from iterforge.polynomials import (
+    b_complement,
     catalan_general_sequence,
     enumerate_trees_mixed,
     op_symbol,
@@ -117,6 +119,19 @@ def test_np_recursion(universe):
         np_recursion_check(levels[:1])
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(0, 7), st.integers(0, 7)), st.integers(-9, 9), max_size=12))
+def test_b_complement_matches_the_binomial_expansion(coeffs):
+    poly = SkeinPoly(coeffs)
+    out = [0] * (max((s + t for s, t in poly.coeffs), default=0) + 1)
+    for (s, t), c in poly.coeffs.items():
+        for i in range(t + 1):
+            out[s + i] += c * math.comb(t, i) * (-1) ** i
+    while len(out) > 1 and out[-1] == 0:
+        out.pop()
+    assert poly.substitute_b_complement() == tuple(out)
+
+
 def tamper(levels, n):
     """`levels` with level n's first value replaced by its last."""
     level = levels[n]
@@ -146,7 +161,15 @@ def test_check_skein_builds_one_table(universe, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("damage", ["evaluation", "recursion"])
+def move_one_coefficient(table, x):
+    """x with one unit of a^s b^t, t >= 1, moved to a^(s+1) b^(t-1): P(1,1)
+    stays, the b := 1 - a line does not."""
+    s, t, _ = next(d for d in table.digits(x) if d[1] >= 1)
+    digit = table.bits * (s * table.stride + t)
+    return x - (1 << digit) + (1 << digit + table.bits * (table.stride - 1))
+
+
+@pytest.mark.parametrize("damage", ["evaluation", "recursion", "complement"])
 def test_check_skein_fails_on_a_tampered_table(universe, monkeypatch, damage):
     build = polynomials.skein_table
 
@@ -155,6 +178,11 @@ def test_check_skein_fails_on_a_tampered_table(universe, monkeypatch, damage):
         levels = table.levels
         if damage == "evaluation":  # one int of level 8 one higher: P(1,1) = 10
             levels = levels[:8] + ((levels[8][0] + 1,) + levels[8][1:],)
+        elif damage == "complement":  # one int of level 8 changed, its P(1,1) still 9
+            moved = move_one_coefficient(table, levels[8][0])
+            assert sum(c for _, _, c in table.digits(moved)) == 9
+            assert b_complement(table.digits(moved)) != (1,)
+            levels = levels[:8] + ((moved,) + levels[8][1:],)
         else:  # level 7's multiset changed, every P(1,1) still 8
             levels = tamper(levels, 7)
         return table._replace(levels=levels)

@@ -570,6 +570,27 @@ def test_mirror_images_share_classnumbers_and_verdicts(universe, n, bound):
         assert outcome[mirror_pair(universe, n, pair)] == result, pair
 
 
+@pytest.mark.parametrize(("n", "bound"), [(3, 7), (4, 6)])
+def test_mirror_images_share_singletons_and_bounds(universe, n, bound):
+    # what verify's per-orbit checks read: classnumbers and singleton counts
+    # at every order, and the unicity bounds at the defining order
+    configs = [ClosureConfig(bound, mode, False) for mode in (MODE_A, MODE_B, MODE_AB)]
+    configs.append(ClosureConfig(bound, MODE_AB, True))
+    outcome = {}
+    for pair in combinations(range(1, catalan(n) + 1), 2):
+        states = [close(IdentitySpec.of(n, pair), config, universe) for config in configs]
+        outcome[pair] = [
+            (
+                [state.classnumber(m) for m in range(bound + 1)],
+                [state.singleton_count(m) for m in range(bound + 1)],
+                unicity_bounds_check(universe, state),
+            )
+            for state in states
+        ]
+    for pair, result in outcome.items():
+        assert outcome[mirror_pair(universe, n, pair)] == result, pair
+
+
 def test_surveys_close_one_identity_per_mirror_orbit(universe, monkeypatch):
     closed = []
 
@@ -614,6 +635,65 @@ def test_closure_record_and_text(universe):
     text = closure_text(state)
     assert "order 4: h=8" in text
     assert "{2 4 12}" in text
+
+
+def full_bound_witness_chain(universe, spec, bound):
+    """`find_witness_chain` as it was before the per-order scan, kept as its
+    oracle: close without cancellation to the full bound, then alternate a
+    scan of every order with a round of verbatim-flank cancellations."""
+    n = spec.order
+    state = close(spec, ClosureConfig(bound, MODE_AB, unicity=False), universe)
+    for _ in range(bound + 1):
+        for m in range(n, bound + 1):
+            for members in state.classes(m):
+                for x, y in combinations(members, 2):
+                    chain = formal_cascade(universe, m, x, y)
+                    below = [idx for idx, (order, _, _) in enumerate(chain) if order < n]
+                    if below:
+                        return chain[: below[0] + 1]
+        if not verbatim_cancellation_round(universe, state):
+            return None
+        worklist_saturate(state, universe)
+    return None
+
+
+def verbatim_cancellation_round(universe, state):
+    """One round of cancellations on verbatim-equal flanks, in class order."""
+    changed = False
+    for m in range(2, state.config.max_order + 1):
+        decomp = universe.decompositions(m)
+        for members in state.classes(m):
+            by_left, by_right = {}, {}
+            for x in members:
+                lo, la, ro, rb = decomp[x - 1]
+                by_left.setdefault((lo, la), []).append(x)
+                by_right.setdefault((ro, rb), []).append(x)
+            for _, xs in sorted(by_left.items()):
+                for x, y in zip(xs, xs[1:]):
+                    _, _, ro, rb = decomp[x - 1]
+                    changed |= state._union(ro, rb, decomp[y - 1][3], "cancel-left", (m, x, y))
+            for _, xs in sorted(by_right.items()):
+                for x, y in zip(xs, xs[1:]):
+                    lo, la, _, _ = decomp[x - 1]
+                    changed |= state._union(lo, la, decomp[y - 1][1], "cancel-right", (m, x, y))
+    return changed
+
+
+WITNESS_CASES = [(3, b) for b in range(4, 10)] + [(4, b) for b in range(5, 9)] + [(5, 6), (5, 7)]
+
+
+@pytest.mark.parametrize(("n", "bound"), WITNESS_CASES)
+def test_classify_matches_full_bound_witness_oracle(universe, n, bound):
+    # kinds too: a pair that is not formally reducible is semantically
+    # reducible exactly when the full-bound search finds a witness
+    cat = universe.catalog(n)
+    for pair in combinations(range(1, catalan(n) + 1), 2):
+        if delta_oracle(cat.term(pair[0]), cat.term(pair[1]), MODE_AB):
+            expected = Verdict(FORMALLY_REDUCIBLE, bound)
+        else:
+            witness = full_bound_witness_chain(universe, IdentitySpec.of(n, pair), bound)
+            expected = Verdict(ESSENTIAL_UP_TO if witness is None else SEMANTICALLY_REDUCIBLE, bound, witness)
+        assert classify_identity(universe, n, pair, bound) == expected, pair
 
 
 def test_witness_search_returns_none_for_essential(universe):

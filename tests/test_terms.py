@@ -1,6 +1,8 @@
 """Term structure, prefix words, and the exact counting arithmetic."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iterforge import (
     LEAF,
@@ -142,6 +144,63 @@ def test_diophantine_agrees_with_parser_exhaustively():
             except MalformedWord:
                 parses = False
             assert validate_word_diophantine(word) == parses, word
+
+
+def char_loop_run_length_code(word):
+    """The run-length code read one character at a time: the oracle for the
+    pattern scan of `run_length_code`."""
+    if not word or word[0] != "V" or word[-1] != "x":
+        return None
+    pairs, i = [], 0
+    while i < len(word):
+        a = b = 0
+        while i < len(word) and word[i] == "V":
+            a, i = a + 1, i + 1
+        while i < len(word) and word[i] == "x":
+            b, i = b + 1, i + 1
+        if a == 0 or b == 0:
+            return None
+        pairs.append((a, b))
+    return tuple(pairs)
+
+
+# well-formed words of order 7..29 (length 15..59)
+term_words = st.recursive(
+    st.just("x"), lambda words: st.tuples(words, words).map(lambda lr: "V" + lr[0] + lr[1]), max_leaves=30
+).filter(lambda word: len(word) >= 15)
+
+
+@st.composite
+def long_vx_words(draw):
+    """Random strings over {V, x}, and well-formed words kept as they are,
+    with one symbol flipped, with two neighbours swapped (which keeps the
+    balance of V and x but can close the term early) or with a tail."""
+    damage = draw(st.sampled_from(["random", "none", "flip", "swap", "tail"]))
+    if damage == "random":
+        return draw(st.text(alphabet="Vx", min_size=14, max_size=60))
+    word = draw(term_words)
+    i = draw(st.integers(0, len(word) - 2))
+    if damage == "flip":
+        word = word[:i] + ("x" if word[i] == "V" else "V") + word[i + 1 :]
+    elif damage == "swap":
+        word = word[:i] + word[i + 1] + word[i] + word[i + 2 :]
+    elif damage == "tail":
+        word += draw(st.text(alphabet="Vx", min_size=1, max_size=min(6, 60 - len(word))))
+    return word
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_vx_words())
+def test_run_scan_agrees_with_parser_and_char_loop_past_the_sweep(word):
+    # the exhaustive sweep above stops at length 13
+    try:
+        parse_word(word)
+        parses = True
+    except MalformedWord:
+        parses = False
+    assert validate_word_diophantine(word) == parses
+    code = run_length_code(word)
+    assert (code.pairs if code else None) == char_loop_run_length_code(word)
 
 
 # -- structural operations ---------------------------------------------------
