@@ -124,7 +124,8 @@ def main(argv=None) -> int:
             for _ in range(PROCESSES):
                 for side in order:
                     result = run_inprocess(sides[side], args.inprocess)
-                    processes[side].append({"median_ms": median(result["ms"]), "peak_rss_mb": result["peak_rss_mb"]})
+                    score = {"median_ms": median(result["ms"]), "peak_rss_mb": result["peak_rss_mb"]}
+                    processes[side].append(score)
             for side in order:
                 inprocess[side].append(processes[side])
                 scores = ", ".join(f"{p['median_ms']:.1f}" for p in processes[side])

@@ -311,14 +311,15 @@ def check_closure_goldens(universe, max_order, closure_order) -> Check:
 # classnumbers and singleton counts at every order.
 
 
-def _classnumbers(universe, pair, config, orders) -> tuple[int, ...]:
+def _order3_classnumbers(universe, pair, config, orders) -> tuple[int, ...]:
     state = semantics.close(IdentitySpec.of(3, pair), config, universe)
     return tuple(state.classnumber(m) for m in orders)
 
 
 def check_h_formulas(universe, max_order, closure_order) -> Check:
     def rows(pair):
-        return tuple(_classnumbers(universe, pair, ClosureConfig(6, mode, False), range(3, 7)) for mode in ("A", "B"))
+        configs = (ClosureConfig(6, "A", False), ClosureConfig(6, "B", False))
+        return tuple(_order3_classnumbers(universe, pair, config, range(3, 7)) for config in configs)
 
     expected = (
         tuple(semantics.h_formula_a(3, k) for k in range(4)),
@@ -353,7 +354,7 @@ def check_order3_table(universe, max_order, closure_order) -> Check:
 def report_order3_table_extension(universe, max_order, closure_order) -> Check:
     lines = []
     config, pairs = ClosureConfig(7, "AB", False), sorted(ORDER3_TABLE_H67)
-    columns = semantics._per_orbit(universe, 3, pairs, lambda pair: _classnumbers(universe, pair, config, (6, 7)))
+    columns = semantics._per_orbit(universe, 3, pairs, lambda p: _order3_classnumbers(universe, p, config, (6, 7)))
     for pair, (h6, h7) in zip(pairs, columns):
         hand6, hand7 = ORDER3_TABLE_H67[pair]
         note = ""
