@@ -15,28 +15,30 @@ cells in columns a and b of every tableau line.  Most such pairs already
 share a class; the loop compares their class ids and calls the partition
 only for the rest, so the log holds effective unions only, in the order
 they took effect.  Cancellation keeps, per order, a signature table keyed
-by (class, side, flank order, flank class); two labels that land on one
-key have their other flanks merged.  The one partition type,
-`DisjointSet`, keeps member lists; both the live partitions and the
-tables' copy as of the cursor use it, and a merge re-keys only the labels
-it moved and the labels above that use them as a flank, read as slices of
-the rank tables.  The engine reads integer labels only and builds no
-`Term`.  The log stays replayable: every entry names the rule and the
-already-merged pair it came from.
+by (class, side, flank order, flank class), as in Nieuwenhuis and Oliveras
+(Inf. Comput. 205(4), 2007); two labels that land on one key have their
+other flanks merged.  The one partition type, `DisjointSet`, keeps member
+lists; both the live partitions and the tables' copy as of the walk use
+it.  The tables' step runs inline in the walk's loop, as the tableau step
+does: it merges the entry's classes in the copy and re-keys only the
+labels it moved and the labels above that use them as a flank, read as
+slices of the rank tables.  The engine reads integer labels only and
+builds no `Term`.  The log stays replayable: every entry names the rule
+and the already-merged pair it came from.
 
 Classifying an identity needs only a verdict's kind: the cancellation
 closure stops at its first merge below the defining order, and walks its
-log lowest order first, so that a descending cancellation is not queued
-behind the upward tableau cascade.  A witness chain costs a second
-closure, so `classify_identity` finds it for a reducible identity, and
-`column_pair_survey` returns kinds only.  That closure has no
-cancellation, so its order-m classes are final once order m - 1 is
-walked: `find_witness_chain` raises its bound one order at a time and
-scans each order for a descending cascade as soon as it is final, and
-only when no order through the bound holds one does it go on to rounds
-of verbatim-flank cancellation.  Reflecting every term left to right
-maps a closure onto the closure of the mirror identity, so the surveys
-close one identity per mirror orbit.
+log lowest order first, from one FIFO queue per order, so that a
+descending cancellation is not queued behind the upward tableau cascade.
+A witness chain costs a second closure, so `classify_identity` finds it
+for a reducible identity, and `column_pair_survey` returns kinds only.
+That closure has no cancellation, so its order-m classes are final once
+order m - 1 is walked: `find_witness_chain` raises its bound one order
+at a time and scans each order for a descending cascade as soon as it is
+final, and only when no order through the bound holds one does it go on
+to rounds of verbatim-flank cancellation.  Reflecting every term left to
+right maps a closure onto the closure of the mirror identity, so the
+surveys close one identity per mirror orbit.
 
 The value records (specs, configs, verdicts, reports) are
 `collections.namedtuple` subclasses, as `Merge` is: a dataclass would load
@@ -46,10 +48,9 @@ this module, and `typing.NamedTuple` would load `typing`.
 
 from __future__ import annotations
 
-from collections import namedtuple
+from collections import deque, namedtuple
 from collections.abc import Iterator
-from heapq import heapify, heappop, heappush
-from itertools import combinations, islice
+from itertools import chain, combinations, islice
 
 from .errors import (
     CompositionNotWellDefined,
@@ -102,7 +103,7 @@ class Merge(namedtuple("Merge", "order a b rule source")):
     __slots__ = ()
 
 
-_merge = Merge._make  # builds a log entry from one tuple, faster than Merge(...)
+_new = tuple.__new__  # _new(Merge, fields) builds a log entry, faster than Merge(...) or Merge._make
 
 
 class DisjointSet:
@@ -186,7 +187,7 @@ class ClosureState:
 
     def _union(self, order: int, a: int, b: int, rule: str, source: tuple | None) -> bool:
         if self.partitions[order].union(a, b):
-            self.log.append(_merge((order, a, b, rule, source)))
+            self.log.append(_new(Merge, (order, a, b, rule, source)))
             return True
         return False
 
@@ -233,11 +234,22 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
     effective union lands at the end of the log and is walked in turn.
     With the cancellation laws on, signature tables local to this call
     turn each entry into the re-keyings that may cancel flanks; they start
-    from the discrete partitions, so on a resumed state they first replay
-    the entries before the cursor.  Each entry's work is done once, so
-    reaching the end of the log is the fixpoint.  Returns True, leaving the
-    closure unfinished, as soon as a cancellation logs a merge below order
-    `below`.
+    from the discrete partitions, so on a resumed state they first catch up
+    on the entries before the cursor, in log order, with the tables step
+    only.  Each entry's work is done once, so reaching the end of the log
+    is the fixpoint.  Returns True, leaving the closure unfinished, as soon
+    as a cancellation logs a merge below order `below`.
+
+    The tables keep their own copy of the partitions as of the walk.  Each
+    member of a non-singleton class sits in its order's table under a left
+    key (class, 0, left order, left class) and a right key (class, 1, right
+    order, right class), classes read in the copy; a label arriving on a key
+    already held by another merges the two labels' other flanks.  A merge
+    re-keys the labels it moved, both labels when it joins two singletons,
+    and the labels above whose flank it moved (`Catalog.users`).  A label is
+    not re-keyed on a side whose other flank's order is one class in the
+    live partitions, as orders 0 and 1 always are: a collision there could
+    only merge flanks already merged, and the partitions only coarsen.
 
     `close` walks in log order, which the log digests and `replay` pin.
     With `below` > 0 the entries are walked lowest order first, so that a
@@ -256,112 +268,93 @@ def _saturate(state: ClosureState, universe: Universe, below: int = 0) -> bool:
             lines[m] += [("tableau-A", k, row) for k, row in enumerate(universe.tableau_a(m), 1)]
         if config.mode in (MODE_B, MODE_AB):
             lines[m] += [("tableau-B", k, row) for k, row in enumerate(universe.tableau_b(m), 1)]
-    log, partitions = state.log, state.partitions
-    tables = None
-    if config.unicity:
-        tables = _SignatureTables(state, universe)
-        end = len(log)
-        for merge in log[: state.cursor]:  # a resumed closure's tables catch up first
-            tables.merged(state, merge.order, merge.a, merge.b)
-        for i in range(end, len(log)):
-            if log[i].order < below:
-                return True
+    log, partitions, cursor = state.log, state.partitions, state.cursor
     # a list's iterator also yields the entries appended while it runs
-    walk = _lowest_first(log, state.cursor) if below else islice(log, state.cursor, None)
+    walk = _lowest_first(log, cursor, bound + 1) if below else islice(log, cursor, None)
+    unicity, catch_up = config.unicity, 0
+    if unicity:
+        decomps = [()] + [universe.decompositions(m) for m in range(1, bound + 1)]
+        users = [universe.catalog(m).users for m in range(bound + 1)]
+        parts = [DisjointSet(len(p.owner) - 1) for p in partitions]
+        tables: list[dict[tuple[int, int, int, int], int]] = [{} for _ in partitions]
+        union = state._union
+        catch_up = cursor
+        walk = chain(islice(log, cursor), walk)
     for m, a, b, _, _ in walk:
-        if m < bound:
+        if catch_up:
+            catch_up -= 1
+        elif m < bound:
             part = partitions[m + 1]
             owner = part.owner
             for rule, line, row in lines[m + 1]:
                 x, y = row[a - 1], row[b - 1]
                 if owner[x] != owner[y]:  # most cells already share a class: no call, no entry
                     part.union(x, y)
-                    log.append(_merge((m + 1, x, y, rule, (m, a, b, line))))
-        if tables is not None:
-            end = len(log)
-            tables.merged(state, m, a, b)
-            # only cancellations merge downward, so this is where it happens first
-            for i in range(end, len(log)):
-                if log[i].order < below:
-                    return True
+                    log.append(_new(Merge, (m + 1, x, y, rule, (m, a, b, line))))
+        if not unicity:
+            continue
+        end = len(log)
+        copy = parts[m]  # merge a's and b's classes in the tables' copy, as `DisjointSet.merge` does
+        c, cb = copy.owner[a], copy.owner[b]
+        kept, moved = copy.members.pop(c, [c]), copy.members.pop(cb, [cb])
+        if len(kept) < len(moved):
+            c, kept, moved = cb, moved, kept
+        for x in moved:
+            copy.owner[x] = c
+        kept.extend(moved)
+        copy.members[c] = kept
+        copy.count -= 1
+        decomp, table = decomps[m], tables[m]
+        for x in kept if len(kept) == 2 else moved:  # a singleton had no keys
+            lo, la, ro, rb = decomp[x - 1]
+            if partitions[ro].count > 1:
+                y = table.setdefault((c, 0, lo, parts[lo].owner[la]), x)
+                if y != x:
+                    union(ro, decomp[y - 1][3], rb, "cancel-left", (m, y, x))
+            if partitions[lo].count > 1:
+                y = table.setdefault((c, 1, ro, parts[ro].owner[rb]), x)
+                if y != x:
+                    union(lo, decomp[y - 1][1], la, "cancel-right", (m, y, x))
+        for k in range(m + 1, bound + 1):
+            ko = k - 1 - m  # a flank of order m leaves the other one order k-1-m
+            if partitions[ko].count == 1:
+                continue
+            owner_k, members_k, decomp_k, table_k = parts[k].owner, parts[k].members, decomps[k], tables[k]
+            for side in (0, 1):
+                for x in moved:  # now in class c, so each user's key on this side is (.., side, m, c)
+                    for z in users[k](side, m, x):
+                        cz = owner_k[z]
+                        if cz in members_k:
+                            y = table_k.setdefault((cz, side, m, c), z)
+                            if y != z:
+                                other, rule = (1, "cancel-right") if side else (3, "cancel-left")
+                                union(ko, decomp_k[y - 1][other], decomp_k[z - 1][other], rule, (k, y, z))
+        # only cancellations merge downward, so this is where it happens first
+        if below and len(log) > end and any(e[0] < below for e in islice(log, end, None)):
+            return True
     state.cursor = len(log)
     return False
 
 
-def _lowest_first(log: list[Merge], start: int) -> Iterator[Merge]:
+def _lowest_first(log: list[Merge], start: int, orders: int) -> Iterator[Merge]:
     """The log's entries from start on, lowest order first and, within an
-    order, in log order, counting those appended while the walk runs."""
-    pending = [(log[i].order, i) for i in range(start, len(log))]
-    heapify(pending)
-    queued = len(log)
-    while pending:
-        yield log[heappop(pending)[1]]
-        for i in range(queued, len(log)):
-            heappush(pending, (log[i].order, i))
-        queued = len(log)
-
-
-class _SignatureTables:
-    """Cancellation bookkeeping for one saturation.
-
-    It keeps its own copy of the partitions as of the log cursor, one
-    `DisjointSet` per order.  Each member of a non-singleton class sits in
-    its order's table under a left key (class, 0, left order, left class)
-    and a right key (class, 1, right order, right class).  A label arriving
-    on a key already held by another merges the two labels' other flanks.
-    A merge also re-keys the labels above that use a moved label as a flank:
-    slices of their rank tables (`Catalog.users`).
-    """
-
-    def __init__(self, state: ClosureState, universe: Universe):
-        bound = state.config.max_order
-        self.decomp = [()] + [universe.decompositions(m) for m in range(1, bound + 1)]
-        self.cats = [universe.catalog(m) for m in range(bound + 1)]
-        self.parts = [DisjointSet(len(p.owner) - 1) for p in state.partitions]
-        self.tables: list[dict[tuple[int, int, int, int], int]] = [{} for _ in state.partitions]
-
-    def merged(self, state: ClosureState, k: int, a: int, b: int) -> None:
-        """Record the merge of a's and b's classes at order k, re-key every
-        label whose key changed, and cancel on each collision.
-
-        A label is not re-keyed on a side whose other flank's order is one
-        class in the live partitions, as orders 0 and 1 always are: a
-        collision there could only merge flanks already merged, and the
-        partitions only coarsen."""
-        part = self.parts[k]
-        moved = part.merge(a, b)
-        joined = part.members[part.owner[a]]
-        live = state.partitions
-        decomp = self.decomp[k]
-        for x in joined if len(joined) == 2 else moved:  # a singleton had no keys
-            lo, _, ro, _ = decomp[x - 1]
-            if live[ro].count > 1:
-                self._key(state, k, x, 0)
-            if live[lo].count > 1:
-                self._key(state, k, x, 1)
-        for m in range(k + 1, len(self.parts)):
-            if live[m - 1 - k].count == 1:  # a flank of order k leaves the other one order m-1-k
-                continue
-            owner_m, members_m = self.parts[m].owner, self.parts[m].members
-            cat = self.cats[m]
-            for side in (0, 1):
-                for x in moved:
-                    for z in cat.users(side, k, x):
-                        if owner_m[z] in members_m:
-                            self._key(state, m, z, side)
-
-    def _key(self, state: ClosureState, m: int, x: int, side: int) -> None:
-        """File x under its key on one side; on a collision with y, merge the
-        other flanks of y and x."""
-        lo, la, ro, rb = self.decomp[m][x - 1]
-        if side == 0:
-            order, flank, other_order, other, rule = lo, la, ro, rb, "cancel-left"
-        else:
-            order, flank, other_order, other, rule = ro, rb, lo, la, "cancel-right"
-        y = self.tables[m].setdefault((self.parts[m].owner[x], side, order, self.parts[order].owner[flank]), x)
-        if y != x:
-            other_y = self.decomp[m][y - 1][3 if side == 0 else 1]
-            state._union(other_order, other_y, other, rule, (m, y, x))
+    order, in log order, counting those appended while the walk runs.  Each
+    order keeps a FIFO queue of its entries; the lowest order with entries
+    pending drops when an entry of a lower one arrives."""
+    queues = [deque() for _ in range(orders)]
+    queued, low = start, orders - 1
+    while True:
+        while queued < len(log):
+            entry = log[queued]
+            queues[entry[0]].append(entry)
+            if entry[0] < low:
+                low = entry[0]
+            queued += 1
+        while not queues[low]:
+            if low == orders - 1:
+                return
+            low += 1
+        yield queues[low].popleft()
 
 
 def classnumbers(state: ClosureState) -> list[int]:
@@ -402,33 +395,44 @@ def formal_cascade(universe: Universe, order: int, i: int, j: int) -> tuple[tupl
     cat.check_label(i), cat.check_label(j)
     chain = [(order, i, j)]
     while order > 0:
-        decomp = universe.decompositions(order)
-        lo, la, ro, rb = decomp[i - 1]
-        lo_j, la_j, ro_j, rb_j = decomp[j - 1]
-        if (lo, la) == (lo_j, la_j):
-            order, i, j = ro, rb, rb_j
-        elif (ro, rb) == (ro_j, rb_j):
-            order, i, j = lo, la, la_j
-        else:
+        step = _peel(universe.decompositions(order), i, j)
+        if step is None:
             break
-        chain.append((order, i, j))
+        order, i, j = step
+        chain.append(step)
     return tuple(chain)
+
+
+def _peel(decomp, i: int, j: int) -> tuple[int, int, int] | None:
+    """(order, x, y): the other flanks of labels i and j once a flank they
+    share verbatim is stripped, the left one first; None if they share none."""
+    lo, la, ro, rb = decomp[i - 1]
+    lo_j, la_j, ro_j, rb_j = decomp[j - 1]
+    if lo == lo_j and la == la_j:
+        return ro, rb, rb_j
+    if ro == ro_j and rb == rb_j:
+        return lo, la, la_j
+    return None
 
 
 def implication_pairs(universe: Universe, n: int, k: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """Unordered order-n pairs whose cancellation cascade visits order k.
 
     Equality of such a pair forces, under cancellation alone, the equality
-    of two distinct k-iterates.
+    of two distinct k-iterates.  Each pair's cascade is peeled only down to
+    order k, since its orders strictly decrease.
     """
     if not 2 <= k <= n - 1:
         raise ValueError(f"need 2 <= k <= n-1, got k={k}, n={n}")
-    size = len(universe.catalog(n))
+    decomps = {m: universe.decompositions(m) for m in range(k + 1, n + 1)}
+    size = len(decomps[n])
     hits = []
     for i in range(1, size + 1):
         for j in range(i + 1, size + 1):
-            chain = formal_cascade(universe, n, i, j)
-            if any(order == k for order, _, _ in chain[1:]):
+            step = (n, i, j)
+            while step is not None and step[0] > k:
+                step = _peel(decomps[step[0]], step[1], step[2])
+            if step is not None and step[0] == k:
                 hits.append((i, j))
     return len(hits), tuple(hits)
 

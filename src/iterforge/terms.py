@@ -168,9 +168,12 @@ def validate_word_diophantine(word: str) -> bool:
     The word V^a1 x^b1 ... V^ak x^bk is a term of order n iff the a's sum
     to n, the b's sum to n+1, and every proper leading block satisfies
     a1+...+aj >= b1+...+bj.  The bare variable "x" is the order-0 term.
-    Agrees with parse_word on every string over {V, x}.  The runs are read
-    straight off the word, with no `RunLengthCode` built.
+    Agrees with parse_word on every string over {V, x}.  The totals are
+    checked first, since most strings fail them; the runs are read straight
+    off the word, with no `RunLengthCode` built.
     """
+    if word.count("x") != word.count("V") + 1:  # the b's sum to one more than the a's
+        return False
     if word == "x":
         return True
     if not _RUN_WORD.fullmatch(word):

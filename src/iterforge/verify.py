@@ -331,7 +331,7 @@ def check_h_formulas(universe, max_order, closure_order) -> Check:
         "substitution-only and extension-only classnumbers, all ten order-3 identities, k<=3",
         _verdict(ok),
         f"A: {[semantics.h_formula_a(3, k) for k in range(4)]}, B: {[semantics.h_formula_b(3, k) for k in range(4)]}",
-        "all twenty closures agree" if ok else "MISMATCH",
+        "all twenty rows agree (twelve closures: one per mirror orbit and mode)" if ok else "MISMATCH",
     )
 
 

@@ -396,6 +396,18 @@ def test_implication_pair_contents(universe):
         implication_pairs(universe, 4, 4)
 
 
+def test_implication_pairs_match_the_chain_definition(universe):
+    # the definition: the pair's full `formal_cascade` chain visits order k
+    for n in range(3, 7):
+        pairs = list(combinations(range(1, catalan(n) + 1), 2))
+        chains = [formal_cascade(universe, n, i, j) for i, j in pairs]
+        for k in range(2, n):
+            expected = tuple(
+                pair for pair, chain in zip(pairs, chains) if any(order == k for order, _, _ in chain[1:])
+            )
+            assert implication_pairs(universe, n, k) == (len(expected), expected), (n, k)
+
+
 # -- the class algebra -------------------------------------------------------
 
 
@@ -927,6 +939,27 @@ def test_lowest_first_verdict_stops_early():
     state = _seed(IdentitySpec.of(4, (6, 12)), ClosureConfig(10, MODE_AB, unicity=True), universe)
     assert worklist_saturate(state, universe, below=4)
     assert len(state.log) < 2000, len(state.log)
+
+
+# sha256 over the per-spec digests of `_seed` + `_saturate(below=order)`, the
+# lowest-first walk of a verdict closure, and whether it exited early, for
+# every single-pair spec of the order in label order, with cancellation
+WALK_GOLDENS = {
+    (3, 7): "8f537c7ba2ed8c58243e9f38c1fdd88038ecfcdaf26c3fd1baed11c10e7e0ca2",
+    (4, 7): "498cf0989c9d22647d0e857b0f80d2efe0acaf3f8e4410c29373164e86dcf0f9",
+    (4, 8): "3a52a6a58a0989fed5852f797db4406e6c87cbbdc87bf5d6f0b96809663383a8",
+}
+
+
+@pytest.mark.parametrize(("order", "bound"), list(WALK_GOLDENS))
+def test_lowest_first_walk_logs_match_goldens(universe, order, bound):
+    config = ClosureConfig(bound, MODE_AB, unicity=True)
+    digests = []
+    for spec in single_pair_specs(order):
+        state = _seed(spec, config, universe)
+        exited = worklist_saturate(state, universe, below=order)
+        digests.append(f"{log_digest(state)} {exited}")
+    assert hashlib.sha256(" ".join(digests).encode()).hexdigest() == WALK_GOLDENS[(order, bound)]
 
 
 # -- closure laws ------------------------------------------------------------
