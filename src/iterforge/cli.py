@@ -55,8 +55,8 @@ def _emit(args, text: str) -> None:
         raise EngineError(f"{args.out}: cannot write output: {error.strerror}") from None
 
 
-def _order_arg(parser, default=7, help="maximum order (cap 9)"):
-    parser.add_argument("--order", type=int, default=default, help=help)
+def _order_arg(parser, default=7, help="maximum order"):
+    parser.add_argument("--order", type=int, default=default, help=f"{help} (cap {MAX_ORDER_CAP})")
 
 
 def _format_arg(parser, formats=render.FORMATS):
@@ -96,17 +96,19 @@ def cmd_incidence(args) -> int:
 def read_spec_file(path: str):
     """Spec file: a line "order n", then one "i j" line per identity pair.
 
-    Returns an `IdentitySpec`.  A file that cannot be read is a domain
-    error.  A malformed file is a usage error, and the message names the
-    file and the line.
+    Returns an `IdentitySpec`.  A file that cannot be read, or is not
+    UTF-8 text, is a domain error.  A malformed file is a usage error, and
+    the message names the file and the line.
     """
     from .semantics import IdentitySpec
 
     try:
-        with open(path) as handle:
+        with open(path, encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     except OSError as error:
         raise EngineError(f"{path}: cannot read spec file: {error.strerror}") from None
+    except UnicodeDecodeError as error:
+        raise EngineError(f"{path}: cannot read spec file: {error}") from None
     order = None
     pairs = []
     for number, raw in enumerate(lines, 1):

@@ -35,10 +35,11 @@ for a reducible identity, and `column_pair_survey` returns kinds only.
 That closure has no cancellation, so its order-m classes are final once
 order m - 1 is walked: `find_witness_chain` raises its bound one order
 at a time and scans each order for a descending cascade as soon as it is
-final, and only when no order through the bound holds one does it go on
-to rounds of verbatim-flank cancellation.  Reflecting every term left to
-right maps a closure onto the closure of the mirror identity, so the
-surveys close one identity per mirror orbit.
+final.  Only when no order through the bound holds one does it go on to
+rounds that union the first peels (`_peel`) the scans listed, close and
+rescan: the one cancellation on verbatim flanks.  Reflecting every term
+left to right maps a closure onto the closure of the mirror identity, so
+the surveys close one identity per mirror orbit.
 
 The value records (specs, configs, verdicts, reports) are
 `collections.namedtuple` subclasses, as `Merge` is: a dataclass would load
@@ -489,26 +490,45 @@ def find_witness_chain(
     such chain truncated at its first sub-order entry.  Without
     cancellation, merges at order m come only from order m - 1, so the
     tableau closure is extended one order at a time and each order is
-    scanned as soon as its partition is final.  Only when no order through
-    the bound holds a cascade does the search alternate verbatim-flank
-    cancellation rounds with full closures, rescanning every order.
+    scanned as soon as its partition is final.  The scan lists each pair's
+    first peel and unions nothing, since `_raise_bound` would carry a union
+    upward.  Only when no order through the bound holds a descent does each
+    round union the listed peels, close, and rescan every order.
+
+    The rounds reach the classes of rounds that union, order by order
+    upward, the other flanks of consecutive members of each class's
+    verbatim-flank groups (the tests' oracle), so both give one witness:
+    - a peel lands below its pair's order, so those rounds read every
+      order as it was when the round began, when the scan listed it;
+    - orders below the defining one stay discrete: a peel landing there
+      is a descent, which the scan returns before any round;
+    - unioning every pair of a group joins the labels a chain through it
+      joins, and a closure's classes depend only on the labels its
+      unions join, not on which unions its log records.
     """
     n = spec.order
     config = ClosureConfig(bound, MODE_AB, unicity=False)
     _validate(spec, config, universe)
     state = close(spec, config._replace(max_order=n), universe)
+    peels: list[tuple[int, int, int, tuple[int, int, int]]] = []
     start = 0  # the entries at the state's bound, which it did not expand
     for m in range(n, bound + 1):
         if m > n:
             start = _raise_bound(state, universe, start)
-        hit = _scan_cascades(universe, state, n, (m,))
+        hit = _scan_cascades(universe, state, n, (m,), peels)
         if hit is not None:
             return hit
     for _ in range(bound):
-        if not _formal_cancellation_round(universe, state):
+        changed = False
+        for m, x, y, (order, a, b) in peels:
+            decomp = universe.decompositions(m)
+            rule = "cancel-left" if decomp[x - 1][:2] == decomp[y - 1][:2] else "cancel-right"
+            changed |= state._union(order, a, b, rule, (m, x, y))
+        if not changed:
             return None
         _saturate(state, universe)
-        hit = _scan_cascades(universe, state, n, range(n, bound + 1))
+        peels.clear()
+        hit = _scan_cascades(universe, state, n, range(n, bound + 1), peels)
         if hit is not None:
             return hit
     return None
@@ -527,7 +547,10 @@ def _raise_bound(state: ClosureState, universe: Universe, start: int) -> int:
     return end
 
 
-def _scan_cascades(universe, state, n, orders):
+def _scan_cascades(universe, state, n, orders, peels):
+    """The first same-class pair's cascade that descends below order n, cut
+    there, or None; each pair scanned before it appends (m, x, y, first peel)
+    to `peels` when it has a peel."""
     for m in orders:
         for members in state.classes(m):
             if len(members) < 2:
@@ -537,36 +560,9 @@ def _scan_cascades(universe, state, n, orders):
                 for idx, (order, _, _) in enumerate(chain):
                     if order < n:
                         return chain[: idx + 1]
+                if len(chain) > 1:
+                    peels.append((m, x, y, chain[1]))
     return None
-
-
-def _formal_cancellation_round(universe, state) -> bool:
-    """Apply one round of cancellations on verbatim-equal flanks only."""
-    changed = False
-    for m in range(2, state.config.max_order + 1):
-        decomp = universe.decompositions(m)
-        for members in state.classes(m):
-            if len(members) < 2:
-                continue
-            by_left: dict[tuple[int, int], list[int]] = {}
-            by_right: dict[tuple[int, int], list[int]] = {}
-            for x in members:
-                lo, la, ro, rb = decomp[x - 1]
-                by_left.setdefault((lo, la), []).append(x)
-                by_right.setdefault((ro, rb), []).append(x)
-            for (_, _), xs in sorted(by_left.items()):
-                for x, y in zip(xs, xs[1:]):
-                    ro = decomp[x - 1][2]
-                    changed |= state._union(
-                        ro, decomp[x - 1][3], decomp[y - 1][3], "cancel-left", (m, x, y)
-                    )
-            for (_, _), xs in sorted(by_right.items()):
-                for x, y in zip(xs, xs[1:]):
-                    lo = decomp[x - 1][0]
-                    changed |= state._union(
-                        lo, decomp[x - 1][1], decomp[y - 1][1], "cancel-right", (m, x, y)
-                    )
-    return changed
 
 
 # -- the algebra of classes --------------------------------------------------

@@ -1,5 +1,6 @@
 """Command-line adapter: thin over the library, stable exit codes."""
 
+import argparse
 import csv
 import hashlib
 import json
@@ -11,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from iterforge.cli import MAX_WORD_ORDER, _catalan_usage, main, read_spec_file
+from iterforge.cli import MAX_ORDER_CAP, MAX_WORD_ORDER, _catalan_usage, build_parser, main, read_spec_file
 from iterforge.incidence import MODE_A, incidence_matrix
 from iterforge.render import closure_text, matrix_csv, tableau_text
 from iterforge.semantics import ClosureConfig, IdentitySpec, close
@@ -181,6 +182,19 @@ def test_exit_codes(capsys):
         assert (code, out, err) == (3, "", "iterforge: tableaux start at order 1\n")
 
 
+def test_order_help_names_the_cap():
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    helps = {
+        name: action.help
+        for name, parser in commands.choices.items()
+        for action in parser._actions
+        if "--order" in action.option_strings
+    }
+    assert sorted(helps) == ["classify", "closure", "enumerate", "incidence", "tableau", "verify"]
+    for name, text in helps.items():
+        assert f"cap {MAX_ORDER_CAP}" in text, name
+
+
 def test_unwritable_output_path_is_domain_error(capsys, tmp_path):
     target = tmp_path / "missing-dir" / "x"
     code, out, err = run_cli(capsys, "enumerate", "--order", "3", "--out", str(target))
@@ -323,6 +337,16 @@ def test_missing_spec_file_is_domain_error(capsys, tmp_path):
     assert code == 3
     assert out == ""
     assert err.splitlines() == [f"iterforge: {missing}: cannot read spec file: No such file or directory"]
+
+
+def test_undecodable_spec_file_is_domain_error(capsys, tmp_path):
+    spec_path = tmp_path / "binary.spec"
+    spec_path.write_bytes(b"\xff\xfeorder 3\n1 2\n")
+    code, out, err = run_cli(capsys, "closure", str(spec_path))
+    assert code == 3
+    assert out == ""
+    assert err.startswith(f"iterforge: {spec_path}: cannot read spec file: ")
+    assert "can't decode byte 0xff" in err
 
 
 def test_non_integer_spec_entry_is_usage_error(capsys, tmp_path):

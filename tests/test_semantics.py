@@ -691,7 +691,7 @@ def verbatim_cancellation_round(universe, state):
     return changed
 
 
-WITNESS_CASES = [(3, b) for b in range(4, 10)] + [(4, b) for b in range(5, 9)] + [(5, 6), (5, 7)]
+WITNESS_CASES = [(3, b) for b in range(4, 10)] + [(4, b) for b in range(5, 9)] + [(5, b) for b in range(6, 9)]
 
 
 @pytest.mark.parametrize(("n", "bound"), WITNESS_CASES)
